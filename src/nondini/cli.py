@@ -37,11 +37,9 @@ from .conformal import (
     integrate_phi,
     trace_boundary,
 )
-from .halfplane import HarmonicEvaluator, extend_V, extend_W
+from .halfplane import HarmonicEvaluator
 from .hilbert import (
     HilbertEvaluator,
-    K_Htilde,
-    K_profile,
     is_neg_inf,
     pv_quadrature_oracle,
     region_bracket,
@@ -78,7 +76,6 @@ class RunConfig:
     K: int = 20
     beta: float = 0.5
     quad_tol: float = 1e-9
-    tail_tol: float = 1e-8
     x_lo: float = -1.0
     x_hi: float = 1.2
     base_n: int = 200
@@ -90,7 +87,7 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.c_prime_target < PI / 2.0:
             raise ValueError("c_prime_target must lie in (0, pi/2)")
-        if not self.quad_tol > 0.0 or not self.tail_tol > 0.0:
+        if not self.quad_tol > 0.0:
             raise ValueError("tolerances must be positive")
         if self.K < 1:
             raise ValueError("need at least one jump")
@@ -110,7 +107,6 @@ _SCHEMA = {
     "K": int,
     "beta": float,
     "quad_tol": float,
-    "tail_tol": float,
     "trace": {"x_lo": float, "x_hi": float, "base_n": int},
     "mc": {"n_walkers": int, "seed": int, "wos_epsilon": float,
            "max_steps": int, "far_radius": float},
@@ -161,7 +157,7 @@ def parse_config(doc: dict) -> RunConfig:
             for k, v in section.items():
                 flat[sub + k] = _coerce(v, _SCHEMA[key][k], f"{key}.{k}")
     for key in ("mode", "c_prime_target", "amplitude_rule", "K", "beta",
-                "quad_tol", "tail_tol", "out_dir"):
+                "quad_tol", "out_dir"):
         if key in doc:
             flat[key] = _coerce(doc[key], _SCHEMA[key], key)
     return RunConfig(**flat)
@@ -177,7 +173,6 @@ def config_to_doc(cfg: RunConfig) -> dict:
         "K": cfg.K,
         "beta": cfg.beta,
         "quad_tol": cfg.quad_tol,
-        "tail_tol": cfg.tail_tol,
         "trace": {"x_lo": cfg.x_lo, "x_hi": cfg.x_hi, "base_n": cfg.base_n},
         "mc": {"n_walkers": cfg.mc.n_walkers, "seed": cfg.mc.seed,
                "wos_epsilon": cfg.mc.wos_epsilon,
@@ -204,23 +199,12 @@ def build_evaluator(cfg: RunConfig) -> HilbertEvaluator:
         sm = SmoothedModulus(spec).selected(beta=cfg.beta)
         profile = build_profile(MODE_C1, sm=sm, bridge=build_bridge(sm),
                                 K=cfg.K, c_prime_target=cfg.c_prime_target,
-                                amplitude_rule=cfg.amplitude_rule,
-                                tail_tol=cfg.tail_tol)
+                                amplitude_rule=cfg.amplitude_rule)
     else:
         profile = build_profile(MODE_LIPSCHITZ, K=cfg.K,
                                 c_prime_target=cfg.c_prime_target,
-                                amplitude_rule=cfg.amplitude_rule,
-                                tail_tol=cfg.tail_tol)
+                                amplitude_rule=cfg.amplitude_rule)
     return HilbertEvaluator(profile)
-
-
-def _flat_trace(x_lo=-8.0, x_hi=8.0, n=33) -> BoundaryTrace:
-    xs = np.linspace(x_lo, x_hi, n)
-    return BoundaryTrace(x=tuple(float(v) for v in xs),
-                         phi=tuple(complex(v) for v in xs),
-                         abs_dphi=tuple(1.0 for _ in xs),
-                         is_singular=tuple(False for _ in xs),
-                         level=0, c_prime=0.0)
 
 
 def _write_json(path, payload) -> None:
@@ -287,14 +271,14 @@ def _checks_hilbert(cfg: RunConfig, ev: HilbertEvaluator):
         x = float(rng.uniform(-2.0, 3.0))
         if min(abs(x - xk) for xk in p.x) < 1e-2 or abs(x) < 1e-2:
             continue
-        worst = max(worst, abs(K_profile(ev, x)[0] - pv_quadrature_oracle(p, x)))
+        worst = max(worst, abs(ev.k_profile(x)[0] - pv_quadrature_oracle(p, x)))
         tested += 1
     yield ("hilbert/pv-oracle-agreement", worst, 1e-6)
 
     if p.mode == MODE_C1:
         viol = 0.0
         for x in np.linspace(1e-3, 0.9 * p.sm.x_star, 20):
-            v = K_Htilde(ev, float(x))
+            v = ev.k_htilde(float(x))
             lo, hi = region_bracket(ev, float(x))
             if not is_neg_inf(lo):
                 viol = max(viol, lo - PI * v)
@@ -305,13 +289,14 @@ def _checks_hilbert(cfg: RunConfig, ev: HilbertEvaluator):
 
 def _checks_halfplane(cfg: RunConfig, ev: HilbertEvaluator):
     p = ev.profile
+    harm = HarmonicEvaluator(ev)
     t = 1e-4
     worst_v = 0.0
     worst_w = 0.0
     for x in (-0.7, 0.3, 1.3):
-        worst_v = max(worst_v, abs(extend_V(p, x + 1j * t)
+        worst_v = max(worst_v, abs(harm.V(x + 1j * t)
                                    - float(p.f_vec(np.array([x]))[0])))
-        worst_w = max(worst_w, abs(extend_W(ev, x + 1j * t)
+        worst_w = max(worst_w, abs(harm.W(x + 1j * t)
                                    - float(ev.kf_vec(np.array([x]))[0])))
     yield ("halfplane/boundary-limit-tangent-angle", worst_v, 1e-2)
     yield ("halfplane/boundary-limit-conjugate", worst_w, 1e-2)
@@ -327,9 +312,10 @@ def _checks_conformal(cfg: RunConfig, ev: HilbertEvaluator):
            abs(integrate_phi(ev, BASE_POINT)), 1e-15)
 
     p = ev.profile
+    harm = HarmonicEvaluator(ev)
     rng = np.random.Generator(np.random.Philox(cfg.mc.seed + 1))
     pts = rng.uniform([-2.0, 0.05], [3.0, 2.0], size=(100, 2))
-    worst = max(abs(extend_V(p, complex(x, t))) for x, t in pts)
+    worst = max(abs(harm.V(complex(x, t))) for x, t in pts)
     yield ("conformal/arg-bound-excess", max(worst - p.c_prime, 0.0), 1e-9)
 
     rep = check_injectivity(ev, n_segments=8, seed=cfg.mc.seed)
@@ -340,7 +326,7 @@ def _checks_conformal(cfg: RunConfig, ev: HilbertEvaluator):
            max(grep.target_exponent - grep.fitted_exponent, 0.0), 0.05)
 
     # identity boundary (f == 0): the machinery must reproduce the half plane
-    flat = _flat_trace()
+    flat = BoundaryTrace.flat(-8.0, 8.0, 33)
     ball = measure_ratio(flat, None, 0.3, 0.5)
     yield ("conformal/identity-ball-ratio", abs(ball.ratio - 1.0), 1e-12)
     yield ("conformal/identity-ball-width",

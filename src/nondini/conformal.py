@@ -24,10 +24,14 @@ from .halfplane import HarmonicEvaluator
 from .hilbert import HilbertEvaluator
 from .profile import MODE_LIPSCHITZ, TangentProfile
 from .quadrature import (
+    gauss_cell_values,
     gauss_cells,
+    gauss_rule,
     graded_edges,
     integrate_power_endpoint,
+    merge_edges,
     quad_complex,
+    split_plan,
 )
 
 PI = math.pi
@@ -128,9 +132,9 @@ def _segment_integral(harm: HarmonicEvaluator, z1: complex, z2: complex,
         sign = 1.0 if z2.real > z1.real else -1.0
         inner = [xk for xk in ev.profile.x if a < xk < b]
         if inner:
-            sets = [graded_edges(a, b, xk, (b - a) * 1e-13) for xk in inner]
-            edges = np.unique(np.concatenate(sets))
-            return sign * (gauss_cells(fn, edges, 23))
+            edges = merge_edges(*[graded_edges(a, b, xk, (b - a) * 1e-13)
+                                  for xk in inner])
+            return sign * gauss_cells(fn, edges, 23)
         return sign * gauss_cells(fn, np.linspace(a, b, 9), 23)
 
     dz = z2 - z1
@@ -178,22 +182,29 @@ def integrate_phi(ev, z: complex, path: PathSpec | None = None,
 class BoundaryTrace:
     """Ordered boundary samples (x_j, Phi_j, |Phi'|_j) with singular markers.
 
-    level[j] records the dyadic refinement depth that produced sample j
-    (0 for base-grid points, m for points at distance 2^-m from a singular
-    target, REFINE_FLOOR_LOG2 + 1 at the targets themselves).
+    The sample fields accept any sequence and are stored as ndarrays.
     """
 
     x: np.ndarray
     phi: np.ndarray
     abs_dphi: np.ndarray
     is_singular: np.ndarray
-    level: np.ndarray
     c_prime: float
     quad_error: float = 0.0
 
     def __post_init__(self):
+        for name, dtype in (("x", float), ("phi", complex), ("abs_dphi", float),
+                            ("is_singular", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not np.all(np.diff(self.x) > 0.0):
             raise ValueError("trace abscissae must be strictly increasing")
+
+    @classmethod
+    def flat(cls, x_lo: float, x_hi: float, n: int) -> "BoundaryTrace":
+        """The straight boundary of the f == 0 case, Phi(x) = x, at n points."""
+        xs = np.linspace(x_lo, x_hi, n)
+        return cls(x=xs, phi=xs.astype(complex), abs_dphi=np.ones(n),
+                   is_singular=np.zeros(n, dtype=bool), c_prime=0.0)
 
     def to_csv(self, path_or_buf) -> None:
         close = False
@@ -239,18 +250,16 @@ class BoundaryTrace:
 
 
 def _trace_grid(p: TangentProfile, x_lo: float, x_hi: float, base_n: int):
-    xs: dict[float, int] = {float(v): 0 for v in np.linspace(x_lo, x_hi, base_n)}
+    xs = {float(v) for v in np.linspace(x_lo, x_hi, base_n)}
     targets = sorted(set([0.0, *map(float, p.x)]))
     for s in targets:
         if x_lo <= s <= x_hi:
-            xs[s] = REFINE_FLOOR_LOG2 + 1
+            xs.add(s)
         for m in range(2, REFINE_FLOOR_LOG2 + 1):
             for v in (s - 2.0 ** -m, s + 2.0 ** -m):
                 if x_lo < v < x_hi:
-                    lv = xs.get(v, 0)
-                    xs[v] = max(lv, m)
-    order = np.array(sorted(xs))
-    return order, np.array([xs[v] for v in order], dtype=int)
+                    xs.add(v)
+    return np.array(sorted(xs))
 
 
 def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200,
@@ -268,7 +277,7 @@ def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200,
         raise ValueError("trace window must contain 0 in its interior")
     if base_n < 2:
         raise ValueError("base_n must be at least 2")
-    xs, levels = _trace_grid(p, x_lo, x_hi, base_n)
+    xs = _trace_grid(p, x_lo, x_hi, base_n)
     with np.errstate(divide="ignore"):
         kf = ev.kf_vec(xs)
     abs_dphi = np.exp(-kf)
@@ -291,24 +300,13 @@ def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200,
             regular.append(j)
     if regular:
         idx = np.array(regular, dtype=int)
-        e15 = _cells_batch(gfn, xs[idx], xs[idx + 1], 15)
-        e23 = _cells_batch(gfn, xs[idx], xs[idx + 1], 23)
+        e15 = gauss_cell_values(gfn, xs[idx], xs[idx + 1], 15)
+        e23 = gauss_cell_values(gfn, xs[idx], xs[idx + 1], 23)
         increments[idx] = e23
         quad_err = float(np.abs(e23 - e15).sum())
     phi = anchor + np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     return BoundaryTrace(x=xs, phi=phi, abs_dphi=abs_dphi, is_singular=sing,
-                         level=levels, c_prime=p.c_prime, quad_error=quad_err)
-
-
-def _cells_batch(fn, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """One n-point Gauss value per cell [a_i, b_i], all evaluated in one call."""
-    from .quadrature import gauss_rule
-
-    t, w = gauss_rule(n)
-    h = 0.5 * (b - a)
-    nodes = a[:, None] + (t[None, :] + 1.0) * h[:, None]
-    vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
-    return (vals @ w) * h
+                         c_prime=p.c_prime, quad_error=quad_err)
 
 
 # -- verification reports ---------------------------------------------------------
@@ -355,8 +353,6 @@ def segment_margin(ev, z1: complex, z2: complex, cells: int = 6) -> float:
         raise ValueError("degenerate segment")
     harm = _as_harmonic(ev)
     cp = harm.profile.c_prime
-    from .quadrature import gauss_rule
-
     t, w = gauss_rule(15)
     edges = np.linspace(0.0, 1.0, cells + 1)
     re_int = 0.0
@@ -406,10 +402,7 @@ def growth_check(ev, radii, n_angles: int = 5, tol: float = 1e-8) -> GrowthRepor
         log_phi[0, i_a] = math.log(abs(phi))
         for i_r, r in enumerate(radii[1:], start=1):
             z_next = r * u
-            inc, _ = quad_complex(
-                lambda s: harm.G(z_prev + s * (z_next - z_prev)), 0.0, 1.0,
-                tol=tol)
-            phi += inc * (z_next - z_prev)
+            phi += _segment_integral(harm, z_prev, z_next, None, tol)
             log_phi[i_r, i_a] = math.log(abs(phi))
             z_prev = z_next
     prods = np.exp(log_phi) * (np.asarray(radii)[:, None] ** (cp / PI - 1.0))
@@ -420,38 +413,20 @@ def growth_check(ev, radii, n_angles: int = 5, tol: float = 1e-8) -> GrowthRepor
                         target_exponent=1.0 - cp / PI)
 
 
-def _split_singular(p, a: float, b: float):
-    """Partition [a, b] into pieces whose only singular ends are jump points.
+def _split_singular(p: TangentProfile, a: float, b: float):
+    """split_plan of [a, b] with the |y - x_k|^(-c a_k / pi) jump singularities."""
+    return split_plan(a, b, p.x, [p.c * ak / PI for ak in p.a])
 
-    Returns (lo, hi, exponent, side) tuples: exponent is None on jump-free
-    pieces, otherwise the |y - x_k|^{-exponent} edge sits on side "a" or "b".
-    Pieces with jumps at both ends split at their midpoint.
+
+def _integrate_split(fn, plan, cells: int = 4):
+    """Sum fn over a split_plan, flattening singular edges.
+
+    Pieces with no singular end get `cells` equal 23-point Gauss cells.
     """
-    cuts = [a] + sorted(float(xk) for xk in p.x if a < xk < b) + [b]
-    plan = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        p_lo = _singular_exponent(p, lo)
-        p_hi = _singular_exponent(p, hi)
-        if p_lo is not None and p_hi is not None:
-            mid = 0.5 * (lo + hi)
-            plan.append((lo, mid, p_lo, "a"))
-            plan.append((mid, hi, p_hi, "b"))
-        elif p_lo is not None:
-            plan.append((lo, hi, p_lo, "a"))
-        elif p_hi is not None:
-            plan.append((lo, hi, p_hi, "b"))
-        else:
-            plan.append((lo, hi, None, ""))
-    return plan
-
-
-def _integrate_split(fn, plan):
-    """Sum fn over a _split_singular plan, flattening singular edges."""
     total = 0.0 + 0.0j
     for lo, hi, pexp, side in plan:
         if pexp is None:
-            edges = np.linspace(lo, hi, 5)
-            total += complex(_cells_batch(fn, edges[:-1], edges[1:], 23).sum())
+            total += complex(gauss_cells(fn, np.linspace(lo, hi, cells + 1), 23))
         else:
             total += complex(integrate_power_endpoint(fn, lo, hi, pexp,
                                                       side=side))

@@ -30,16 +30,12 @@ import numpy as np
 
 from .hilbert import HilbertEvaluator, is_neg_inf
 from .profile import TangentProfile, MODE_C1, MODE_LIPSCHITZ
-from .quadrature import graded_edges
-from .hilbert import gauss_graded_edges, _merge_edges
+from .quadrature import gauss_graded, graded_edges, merge_edges
 
 __all__ = [
     "UpperHalfPoint",
     "HarmonicEvaluator",
     "poisson_kernel",
-    "extend_V",
-    "extend_W",
-    "eval_G",
 ]
 
 PI = math.pi
@@ -108,8 +104,8 @@ def herglotz_transform(p: TangentProfile, x: float, t: float,
             # on cell edges preserves per-cell analyticity.
             sets.append([float(xk) + kn for kn in p.bridge.knots
                          if y_min < xk + kn < Y])
-    edges = _merge_edges(*sets)
-    integral = gauss_graded_edges(fn, edges, tol=tol)
+    edges = merge_edges(*sets)
+    integral = gauss_graded(fn, edges, tol=tol)
     tail = -p.c_prime * cmath.log(1.0 - z / Y)
     return (integral + tail) / PI
 
@@ -128,7 +124,7 @@ def _log_sum(p: TangentProfile, x: float, t: float) -> float:
 
 @dataclass
 class HarmonicEvaluator:
-    """V, W and G with a shared, optional (x, t) -> A cache.
+    """V, W and G with a shared (x, t) -> A cache.
 
     Values never depend on cache state: herglotz_transform is pure, the cache
     only skips repeated quadrature for path integration revisiting points.
@@ -136,7 +132,6 @@ class HarmonicEvaluator:
 
     ev: HilbertEvaluator
     quad_tol: float = 3e-12
-    use_cache: bool = True
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -145,12 +140,10 @@ class HarmonicEvaluator:
 
     def herglotz(self, x: float, t: float) -> complex:
         key = (float(x), float(t))
-        if self.use_cache and key in self._cache:
-            return self._cache[key]
-        val = herglotz_transform(self.profile, x, t, tol=self.quad_tol)
-        if self.use_cache:
-            self._cache[key] = val
-        return val
+        if key not in self._cache:
+            self._cache[key] = herglotz_transform(self.profile, x, t,
+                                                  tol=self.quad_tol)
+        return self._cache[key]
 
     def V(self, z) -> float:
         x, t = _as_xt(z)
@@ -196,24 +189,6 @@ class HarmonicEvaluator:
         return self.ev.profile.f(x)
 
 
-def extend_V(p: TangentProfile, z) -> float:
-    x, t = _as_xt(z)
-    if p.mode == MODE_LIPSCHITZ:
-        return _poisson_of_step(p, x, t)
-    return herglotz_transform(p, x, t).imag
-
-
-def extend_W(ev: HilbertEvaluator, z) -> float:
-    x, t = _as_xt(z)
-    if ev.profile.mode == MODE_LIPSCHITZ:
-        return _log_sum(ev.profile, x, t)
-    return -herglotz_transform(ev.profile, x, t).real
-
-
-def eval_G(ev: HilbertEvaluator, z) -> complex:
-    return HarmonicEvaluator(ev, use_cache=False).G(z)
-
-
 def poisson_of_kf_oracle(ev: HilbertEvaluator, x: float, t: float,
                          half_width: float = 4000.0) -> float:
     """Direct quadrature of P_t * Kf: the independent check that -Re A = W.
@@ -241,8 +216,8 @@ def poisson_of_kf_oracle(ev: HilbertEvaluator, x: float, t: float,
     for s in [*p.x, 0.0]:
         if lo < s < hi:
             sets.append(graded_edges(lo, hi, float(s), L * 1e-13))
-    edges = _merge_edges(*sets)
-    val = gauss_graded_edges(fn, edges, tol=1e-10, max_rounds=4)
+    edges = merge_edges(*sets)
+    val = gauss_graded(fn, edges, tol=1e-10, max_rounds=4)
     val += (cp / PI) * 0.5 * math.log(x * x + t * t)
     if L < 8.0 * (abs(x) + t + 1.0):
         raise ValueError("half_width too small for the 1/y tail estimate")

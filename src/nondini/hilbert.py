@@ -28,7 +28,13 @@ import numpy as np
 
 from .modulus import SmoothedModulus
 from .profile import BridgeSpline, TangentProfile, MODE_C1, MODE_LIPSCHITZ
-from .quadrature import QuadratureError, gauss_cells, graded_edges
+from .quadrature import (
+    QuadratureError,
+    gauss_cells,
+    gauss_graded,
+    graded_edges,
+    merge_edges,
+)
 
 __all__ = [
     "NEG_INF",
@@ -36,8 +42,6 @@ __all__ = [
     "HilbertEvaluator",
     "pv_log_integral",
     "K_heaviside",
-    "K_Htilde",
-    "K_profile",
     "pv_quadrature_oracle",
     "decay_bounds",
     "region_bracket",
@@ -78,17 +82,12 @@ def K_heaviside(x: float):
     return math.log(abs(x)) / PI
 
 
-def _merge_edges(*edge_sets) -> np.ndarray:
-    out = np.unique(np.concatenate([np.asarray(e, dtype=float) for e in edge_sets]))
-    return out
-
-
 @dataclass
 class HilbertEvaluator:
     """Piecewise-analytic evaluator of K Htilde and K f.
 
     Pure after construction; point evaluations are memoized, and the vector
-    path can use a per-octave Chebyshev table of K Htilde (built lazily, with
+    path uses a per-octave Chebyshev table of K Htilde (built lazily, with
     its observed sup error against the direct formulas recorded).
     """
 
@@ -120,7 +119,7 @@ class HilbertEvaluator:
 
     def _bridge_edges(self, lo: float, hi: float, focus: float, min_scale: float):
         knots = [k for k in self.bridge.knots if lo < k < hi]
-        return _merge_edges(graded_edges(lo, hi, focus, min_scale), knots, [lo, hi])
+        return merge_edges(graded_edges(lo, hi, focus, min_scale), knots, [lo, hi])
 
     def _int_rise(self, x: float, shift: float) -> float:
         """int_0^{x0} (theta_tilde(y) - shift) / (x - y) dy, x outside (0, x0).
@@ -136,9 +135,9 @@ class HilbertEvaluator:
         if shift != 0.0 and x > x0:
             # region (x0, x_star): the quotient turns over on scale x - x0 near y = x0
             near = graded_edges(0.0, x0, x0, min_scale=max(x - x0, x0 * 1e-12))
-            edges = _merge_edges(edges, near)
+            edges = merge_edges(edges, near)
         fn = lambda y: (self._ht(y) - shift) / (x - y)
-        return gauss_graded_edges(fn, edges, tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
 
     def _int_rise_pv(self, x: float) -> float:
         """int_0^{x0} (theta_tilde(y) - theta_tilde(x)) / (x - y) dy, 0 < x <= x0.
@@ -162,15 +161,15 @@ class HilbertEvaluator:
 
         e1 = graded_edges(0.0, x0, 0.0, min_scale=max(x * self.quad_tol, 1e-280))
         e2 = graded_edges(0.0, x0, x, min_scale=eta)
-        return gauss_graded_edges(fn, _merge_edges(e1, e2, [x] if 0 < x < x0 else []),
-                                  tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, merge_edges(e1, e2, [x] if 0 < x < x0 else []),
+                            tol=self.quad_tol * 0.25)
 
     def _int_bridge(self, x: float, shift: float, focus: float) -> float:
         """int_{x0}^{x_star} (g(y) - shift) / (x - y) dy, x outside (x0, x_star)."""
         x0, xs = self._x0, self._xs
         fn = lambda y: (self.bridge.value_vec(y) - shift) / (x - y)
         edges = self._bridge_edges(x0, xs, focus, (xs - x0) * 1e-10)
-        return gauss_graded_edges(fn, edges, tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
 
     def _int_bridge_pv(self, x: float) -> float:
         """int_{x0}^{x_star} (g(y) - g(x)) / (x - y) dy, x0 <= x <= x_star."""
@@ -188,7 +187,7 @@ class HilbertEvaluator:
             return out
 
         edges = self._bridge_edges(x0, xs, x, eta)
-        return gauss_graded_edges(fn, edges, tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
 
     def _pi_k_htilde(self, x: float) -> float:
         """pi * K Htilde(x) by the region-matched cancellation-free formulas."""
@@ -234,20 +233,14 @@ class HilbertEvaluator:
             self._table = KHtildeTable.build(self)
         return self._table
 
-    def k_htilde_vec(self, u, use_table: bool = True) -> np.ndarray:
+    def k_htilde_vec(self, u) -> np.ndarray:
         """Vectorized K Htilde with IEEE -inf at exact zeros (internal hot path)."""
         u = np.asarray(u, dtype=float)
         if self.profile.mode != MODE_C1:
             raise ValueError("K Htilde needs a c1 profile")
-        if use_table:
-            return self.table().eval_vec(u)
-        out = np.empty_like(u)
-        for i, ui in enumerate(u.ravel()):
-            v = self.k_htilde(float(ui))
-            out.ravel()[i] = -np.inf if is_neg_inf(v) else v
-        return out
+        return self.table().eval_vec(u)
 
-    def kf_vec(self, xs, use_table: bool = True) -> np.ndarray:
+    def kf_vec(self, xs) -> np.ndarray:
         """K f on an array; -inf exactly at the jump set."""
         xs = np.asarray(xs, dtype=float)
         p = self.profile
@@ -258,7 +251,7 @@ class HilbertEvaluator:
                     out += ak * np.log(np.abs(xs - xk))
             return p.c * out / PI
         for ak, xk in zip(p.a, p.x):
-            out += ak * self.k_htilde_vec(xs - xk, use_table=use_table)
+            out += ak * self.k_htilde_vec(xs - xk)
         return p.c * out
 
     def k_profile(self, x: float):
@@ -281,29 +274,6 @@ class HilbertEvaluator:
             return NEG_INF, regular
         value = regular + p.c * terms[k_near][0] * terms[k_near][1]
         return value, regular
-
-
-def gauss_graded_edges(fn, edges, tol: float, n: int = 15, max_rounds: int = 3):
-    """gauss_graded over a prescribed edge set (kept here: the evaluator always
-    builds its own union of graded and structural edges)."""
-    err = math.inf
-    for _ in range(max_rounds):
-        v1 = gauss_cells(fn, edges, n)
-        v2 = gauss_cells(fn, edges, n + 8)
-        err = abs(v1 - v2)
-        if err <= max(tol, tol * abs(v2)):
-            return v2
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate([edges, mids]))
-    raise QuadratureError(f"graded rule stalled at {err:.3e} (tol {tol:.3e})")
-
-
-def K_Htilde(ev: HilbertEvaluator, x: float):
-    return ev.k_htilde(x)
-
-
-def K_profile(ev: HilbertEvaluator, x: float):
-    return ev.k_profile(x)
 
 
 def decay_bounds(ev: HilbertEvaluator, x: float) -> tuple[float, float]:
@@ -420,7 +390,7 @@ def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> floa
         for xk in jumps:
             if a < xk < b:
                 sets.append(graded_edges(a, b, xk, (b - a) * 1e-9))
-        edges = _merge_edges(*sets)
+        edges = merge_edges(*sets)
         v1 = gauss_cells(q, edges, 21)
         v2 = gauss_cells(q, edges, 29)
         if abs(v1 - v2) > max(1e-8, 1e-8 * abs(v2)):

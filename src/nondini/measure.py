@@ -38,7 +38,7 @@ from .conformal import (
     _integrate_split,
     _split_singular,
 )
-from .quadrature import QuadratureError, gauss_cells, integrate_power_endpoint
+from .quadrature import split_plan
 
 PI = math.pi
 
@@ -91,6 +91,16 @@ class BallRatio:
     x_hi: float
 
 
+def _phi_from(harm, ax: float, aphi: complex, x: float) -> complex:
+    """Phi(x) from the anchor value aphi = Phi(ax), along the boundary."""
+    if harm is None:
+        return aphi + (x - ax)
+    lo, hi = (ax, x) if x > ax else (x, ax)
+    inc = _integrate_split(_boundary_g(harm.ev),
+                           _split_singular(harm.profile, lo, hi))
+    return aphi + inc if x > ax else aphi - inc
+
+
 def _phi_on_boundary(trace: BoundaryTrace, harm, x: float) -> complex:
     """Phi(x) anchored at the nearest trace sample (exact at samples)."""
     xs = np.asarray(trace.x)
@@ -100,12 +110,7 @@ def _phi_on_boundary(trace: BoundaryTrace, harm, x: float) -> complex:
     ax, aphi = float(xs[j]), complex(trace.phi[j])
     if x == ax:
         return aphi
-    if harm is None:
-        return aphi + (x - ax)
-    lo, hi = (ax, x) if x > ax else (x, ax)
-    inc = _integrate_split(_boundary_g(harm.ev),
-                           _split_singular(harm.profile, lo, hi))
-    return aphi + inc if x > ax else aphi - inc
+    return _phi_from(harm, ax, aphi, x)
 
 
 def _bisect_crossing(harm, x_in: float, phi_in: complex, x_out: float,
@@ -113,14 +118,7 @@ def _bisect_crossing(harm, x_in: float, phi_in: complex, x_out: float,
     """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r."""
 
     def h(x: float) -> float:
-        if harm is None:
-            phi = phi_in + (x - x_in)
-        else:
-            lo, hi = (x_in, x) if x > x_in else (x, x_in)
-            inc = _integrate_split(_boundary_g(harm.ev),
-                                   _split_singular(harm.profile, lo, hi))
-            phi = phi_in + inc if x > x_in else phi_in - inc
-        return abs(phi - p_img) - r
+        return abs(_phi_from(harm, x_in, phi_in, x) - p_img) - r
 
     a, b = x_in, x_out
     for _ in range(120):
@@ -585,26 +583,6 @@ class AppendixReport:
     left_bound_ok: bool
 
 
-def _product_plan(locs_exps: dict, a: float, b: float):
-    """Split [a, b] at singular locations, pairing each edge with its exponent."""
-    cuts = [a] + sorted(s for s in locs_exps if a < s < b) + [b]
-    plan = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        p_lo = locs_exps.get(lo)
-        p_hi = locs_exps.get(hi)
-        if p_lo is not None and p_hi is not None:
-            mid = 0.5 * (lo + hi)
-            plan.append((lo, mid, p_lo, "a"))
-            plan.append((mid, hi, p_hi, "b"))
-        elif p_lo is not None:
-            plan.append((lo, hi, p_lo, "a"))
-        elif p_hi is not None:
-            plan.append((lo, hi, p_hi, "b"))
-        else:
-            plan.append((lo, hi, None, ""))
-    return plan
-
-
 def appendix_product_integral(b, eps_list, jumps=None) -> AppendixReport:
     """Windowed integrals of prod_k |x - s_k|^{-b_k} and their scaling law.
 
@@ -634,9 +612,6 @@ def appendix_product_integral(b, eps_list, jumps=None) -> AppendixReport:
         raise ValueError("one location per exponent")
     if any(s < 0.0 for s in locs):
         raise ValueError("locations must be non-negative")
-    locs_exps: dict = {}
-    for s, v in zip(locs, bs):
-        locs_exps[s] = locs_exps.get(s, 0.0) + v
 
     def g(ys):
         ys = np.asarray(ys, dtype=float)
@@ -647,20 +622,7 @@ def appendix_product_integral(b, eps_list, jumps=None) -> AppendixReport:
         return val
 
     def window(a: float, c: float) -> float:
-        total = 0.0
-        for lo, hi, pexp, side in _product_plan(locs_exps, a, c):
-            try:
-                if pexp is None:
-                    cells = np.linspace(lo, hi, 9)
-                    total += float(gauss_cells(g, cells, n=23).real)
-                else:
-                    total += float(integrate_power_endpoint(
-                        g, lo, hi, pexp, side=side).real)
-            except QuadratureError as exc:
-                s = lo if side == "a" else hi
-                raise QuadratureError(
-                    "product quadrature failed near location %g" % s) from exc
-        return total
+        return _integrate_split(g, split_plan(a, c, locs, bs), cells=8).real
 
     ints = [window(-e, e) for e in eps]
     lefts = [window(-e, 0.0) for e in eps]

@@ -31,10 +31,7 @@ __all__ = [
     "DiniClass",
     "ModulusSpec",
     "SmoothedModulus",
-    "eval_theta",
     "classify_dini",
-    "smooth_modulus",
-    "smoothed_derivative",
     "select_x0",
 ]
 
@@ -123,10 +120,6 @@ class ModulusSpec:
         rs = np.array([p[0] for p in self.grid])
         vs = np.array([p[1] for p in self.grid])
         return np.interp(r, rs, vs)
-
-
-def eval_theta(spec: ModulusSpec, r: float) -> float:
-    return spec.theta(r)
 
 
 def classify_dini(spec: ModulusSpec, tol: float = 1e-8,
@@ -305,14 +298,6 @@ class SmoothedModulus:
         b = self.beta if beta is None else beta
         x0, x_star = select_x0(self, b)
         return replace(self, beta=b, x0=x0, x_star=x_star)
-
-
-def smooth_modulus(sm: SmoothedModulus, r: float) -> float:
-    return sm.value(r)
-
-
-def smoothed_derivative(sm: SmoothedModulus, r: float) -> float:
-    return sm.derivative(r)
 
 
 def _find_x_star(sm: SmoothedModulus) -> float:

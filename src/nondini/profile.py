@@ -20,8 +20,6 @@ __all__ = [
     "BridgeSpline",
     "TangentProfile",
     "build_bridge",
-    "eval_Htilde",
-    "eval_profile",
     "modulus_at_origin",
     "build_profile",
 ]
@@ -180,10 +178,6 @@ def htilde_slope_vec(sm: SmoothedModulus, bridge: BridgeSpline, x) -> np.ndarray
     return out
 
 
-def eval_Htilde(sm: SmoothedModulus, bridge: BridgeSpline, x: float) -> float:
-    return float(htilde_vec(sm, bridge, np.array([x]))[0])
-
-
 def modulus_at_origin(sm: SmoothedModulus, bridge: BridgeSpline, r: float) -> float:
     """sup over |x| <= r of |Htilde(x) - Htilde(0)|.
 
@@ -192,7 +186,7 @@ def modulus_at_origin(sm: SmoothedModulus, bridge: BridgeSpline, r: float) -> fl
     """
     if not 0.0 < r <= bridge.x0:
         raise ValueError("modulus_at_origin expects 0 < r <= x0")
-    return eval_Htilde(sm, bridge, r)
+    return float(htilde_vec(sm, bridge, np.array([r]))[0])
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,6 @@ class TangentProfile:
     x: tuple[float, ...]
     sm: SmoothedModulus | None = None
     bridge: BridgeSpline | None = None
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         if self.mode not in (MODE_LIPSCHITZ, MODE_C1):
@@ -272,10 +265,6 @@ class TangentProfile:
         return self.c * out
 
 
-def eval_profile(p: TangentProfile, x: float) -> float:
-    return p.f(x)
-
-
 def build_profile(mode: str,
                   sm: SmoothedModulus | None = None,
                   bridge: BridgeSpline | None = None,
@@ -283,8 +272,7 @@ def build_profile(mode: str,
                   c_prime_target: float = math.pi / 4.0,
                   amplitude_rule: str = "geometric",
                   jumps=None,
-                  amps=None,
-                  tail_tol: float = 1e-8) -> TangentProfile:
+                  amps=None) -> TangentProfile:
     """Assemble a profile with x_k = 2^-k defaults and exact c' normalization."""
     if jumps is None:
         jumps = tuple(2.0 ** -k for k in range(1, K + 1))
@@ -300,5 +288,4 @@ def build_profile(mode: str,
     else:
         amps = tuple(float(v) for v in amps)
     c = c_prime_target / math.fsum(amps)
-    return TangentProfile(mode=mode, c=c, a=amps, x=jumps, sm=sm, bridge=bridge,
-                          tail_tol=tail_tol)
+    return TangentProfile(mode=mode, c=c, a=amps, x=jumps, sm=sm, bridge=bridge)

@@ -1,10 +1,23 @@
-"""Shared quadrature helpers.
+"""Quadrature for the construction's integrals f -> Kf -> Phi -> exp(Kf).
 
-scipy.integrate.quad covers scalar real integrands well; the helpers here cover
-the recurring patterns it does not: fixed-order Gauss rules applied to vectorized
-integrands over graded cell lists (known singularity location, geometric
-refinement toward it), power-law endpoint flattening, and an adaptive
-Gauss-Kronrod rule for complex-valued line integrals.
+The integrands have power or log singularities (at the jumps x_k and the
+origin) or kinks (at the profile knots) in known places, so one rule and one
+planner serve all of them:
+
+* the Gauss-cell rule: `gauss_cell_values` gives one fixed-order
+  Gauss-Legendre value per cell and `gauss_cells` their sum over an edge list;
+  `graded_edges` refines cells geometrically toward a known singularity and
+  `merge_edges` unions edge sets;
+* `gauss_graded`, the certified form of that rule: orders n and n + 8 must
+  agree within the tolerance, every cell is halved between rounds, and the
+  measured error is raised as QuadratureError when the rounds run out;
+* `integrate_power_endpoint`, the rule after the flattening substitution that
+  removes an |x - endpoint|^(-p) singularity;
+* `split_plan`, the singular-split planner: it cuts an interval at the
+  singular locations so that every piece has at most one singular end.
+
+`quad_complex` (adaptive Gauss-Kronrod) covers complex line integrals in the
+interior, and `quad_scalar` is scipy's quad with its error estimate checked.
 """
 
 from __future__ import annotations
@@ -18,10 +31,13 @@ from scipy.integrate import quad
 __all__ = [
     "QuadratureError",
     "gauss_rule",
+    "gauss_cell_values",
     "gauss_cells",
     "graded_edges",
+    "merge_edges",
     "gauss_graded",
     "integrate_power_endpoint",
+    "split_plan",
     "quad_complex",
     "quad_scalar",
 ]
@@ -41,22 +57,28 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _RULE_CACHE[n]
 
 
+def gauss_cell_values(fn, a: np.ndarray, b: np.ndarray, n: int = 15) -> np.ndarray:
+    """One n-point Gauss value per cell [a_i, b_i], from a single call of fn.
+
+    fn is vectorized. Gauss nodes are strictly interior, so an integrable
+    singularity sitting exactly on a cell edge is never evaluated.
+    """
+    t, w = gauss_rule(n)
+    h = 0.5 * (b - a)
+    nodes = a[:, None] + (t[None, :] + 1.0) * h[:, None]
+    vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
+    return (vals @ w) * h
+
+
 def gauss_cells(fn, edges, n: int = 15):
     """Integrate a vectorized integrand over the cells defined by `edges`.
 
     `edges` is an increasing 1-d array; cell i is [edges[i], edges[i+1]].
-    Gauss nodes are strictly interior, so an integrable singularity sitting
-    exactly on an edge is never evaluated.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         return 0.0
-    x, w = gauss_rule(n)
-    a = edges[:-1]
-    h = np.diff(edges)
-    nodes = a[:, None] + (x[None, :] + 1.0) * (0.5 * h[:, None])
-    vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
-    return ((vals @ w) * (0.5 * h)).sum()
+    return gauss_cell_values(fn, edges[:-1], edges[1:], n).sum()
 
 
 def graded_edges(a: float, b: float, focus: float, min_scale: float) -> np.ndarray:
@@ -83,41 +105,40 @@ def graded_edges(a: float, b: float, focus: float, min_scale: float) -> np.ndarr
     return np.array(sorted(out))
 
 
-def _halve_cells(edges: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return np.sort(np.concatenate([edges, mids]))
+def merge_edges(*edge_sets) -> np.ndarray:
+    """Sorted union of edge lists, duplicates dropped."""
+    return np.unique(np.concatenate([np.asarray(e, dtype=float) for e in edge_sets]))
 
 
-def gauss_graded(fn, a, b, focus, min_scale, n: int = 15, tol: float | None = None,
-                 max_rounds: int = 3):
-    """Graded-cell Gauss integration with an optional certified tolerance.
+def gauss_graded(fn, edges, tol: float, n: int = 15, max_rounds: int = 3):
+    """Certified Gauss-cell integration over a prescribed edge list.
 
-    With tol set, the result at order n is compared against order n+8; cells are
-    halved until the two agree within tol (absolute or relative, whichever is
-    looser), else QuadratureError.
+    Orders n and n + 8 must agree within tol (absolute or relative, whichever
+    is looser); otherwise every cell is halved and the comparison repeated.
+    Returns the order n + 8 value; after max_rounds failed rounds raises
+    QuadratureError carrying the last measured error.
     """
-    edges = graded_edges(a, b, focus, min_scale)
-    v1 = gauss_cells(fn, edges, n)
-    if tol is None:
-        return v1
+    edges = np.asarray(edges, dtype=float)
+    err = math.inf
     for _ in range(max_rounds):
+        v1 = gauss_cells(fn, edges, n)
         v2 = gauss_cells(fn, edges, n + 8)
         err = abs(v1 - v2)
         if err <= max(tol, tol * abs(v2)):
             return v2
-        edges = _halve_cells(edges)
-        v1 = gauss_cells(fn, edges, n)
-    raise QuadratureError(f"graded Gauss rule stalled at error {err:.3e} (tol {tol:.3e})")
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        edges = np.sort(np.concatenate([edges, mids]))
+    raise QuadratureError(f"graded rule stalled at {err:.3e} (tol {tol:.3e})")
 
 
-def integrate_power_endpoint(fn, a, b, p, side: str, n: int = 15,
-                             tol: float | None = None):
+def integrate_power_endpoint(fn, a, b, p, side: str):
     """Integrate fn over [a, b] with an |x-endpoint|^(-p) singularity, p < 1.
 
     Substituting x = endpoint +/- sigma^(1/(1-p)) turns the integrand into a
     bounded one:  dx = (1/(1-p)) sigma^(p/(1-p)) d sigma, and the product
     fn * dx/dsigma stays O(1) near sigma = 0. The sigma integral is then done
-    on cells graded toward 0 (residual log-type variation is harmless there).
+    on 15-point Gauss cells graded toward 0 (residual log-type variation is
+    harmless there).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("power exponent must lie in [0, 1)")
@@ -143,7 +164,37 @@ def integrate_power_endpoint(fn, a, b, p, side: str, n: int = 15,
             vals = np.asarray(fn(np.where(col, 0.5 * (a + b), x)))
             return np.where(col, 0.0, vals * (q * sig ** (q - 1.0)))
 
-    return gauss_graded(g, 0.0, smax, 0.0, smax * 1e-12, n=n, tol=tol)
+    return gauss_cells(g, graded_edges(0.0, smax, 0.0, smax * 1e-12), 15)
+
+
+def split_plan(a: float, b: float, locs, exps):
+    """Partition [a, b] into pieces with at most one singular end each.
+
+    exps[k] is the exponent p of an |y - locs[k]|^(-p) singularity; exponents
+    at coincident locations add. The cuts are the locations inside (a, b), and
+    a piece singular at both ends splits at its midpoint. Returns
+    (lo, hi, exponent, side) tuples: exponent is None on pieces with no
+    singular end, otherwise the singular end is lo (side "a") or hi (side "b").
+    """
+    sing: dict = {}
+    for s, p in zip(locs, exps):
+        sing[float(s)] = sing.get(float(s), 0.0) + p
+    cuts = [a] + sorted(s for s in sing if a < s < b) + [b]
+    plan = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        p_lo = sing.get(lo)
+        p_hi = sing.get(hi)
+        if p_lo is not None and p_hi is not None:
+            mid = 0.5 * (lo + hi)
+            plan.append((lo, mid, p_lo, "a"))
+            plan.append((mid, hi, p_hi, "b"))
+        elif p_lo is not None:
+            plan.append((lo, hi, p_lo, "a"))
+        elif p_hi is not None:
+            plan.append((lo, hi, p_hi, "b"))
+        else:
+            plan.append((lo, hi, None, ""))
+    return plan
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss (standard constants).
@@ -210,12 +261,9 @@ def quad_complex(fn, a: float, b: float, tol: float = 1e-12, limit: int = 400):
     return total, total_err
 
 
-def quad_scalar(fn, a, b, tol: float = 1e-10, points=None, limit: int = 300) -> float:
+def quad_scalar(fn, a, b, tol: float = 1e-10, limit: int = 300) -> float:
     """scipy.integrate.quad with the error estimate promoted to an exception."""
-    kw = {}
-    if points is not None and math.isfinite(a) and math.isfinite(b):
-        kw["points"] = points
-    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=limit, **kw)
+    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=limit)
     if err > 100.0 * max(tol, tol * abs(y)) + 1e-15:
         raise QuadratureError(f"quad error estimate {err:.3e} exceeds tol {tol:.3e}")
     return y

@@ -31,7 +31,7 @@ from nondini.conformal import (
     secant_tangent,
     trace_boundary,
 )
-from nondini.halfplane import extend_V
+from nondini.halfplane import HarmonicEvaluator
 from nondini.hilbert import (
     HilbertEvaluator,
     pv_quadrature_oracle,
@@ -70,14 +70,6 @@ def ev_lip():
 def ev_qwedge():
     return HilbertEvaluator(build_profile(MODE_LIPSCHITZ, jumps=[0.0], amps=[1.0],
                                           c_prime_target=PI / 4.0))
-
-
-def _flat_trace(x_lo=-8.0, x_hi=8.0, n=33) -> BoundaryTrace:
-    xs = np.linspace(x_lo, x_hi, n)
-    return BoundaryTrace(x=xs, phi=xs.astype(complex),
-                         abs_dphi=np.ones_like(xs),
-                         is_singular=np.zeros_like(xs, dtype=bool),
-                         level=0, c_prime=0.0)
 
 
 def test_criterion_01_modulus_sandwich():
@@ -176,7 +168,8 @@ def test_criterion_05_arg_bound_and_injectivity(ev_c1):
     p = ev_c1.profile
     rng = np.random.default_rng(1)
     pts = rng.uniform([-2.0, 0.05], [3.0, 2.0], size=(1000, 2))
-    worst_arg = max(abs(extend_V(p, complex(x, t))) for x, t in pts)
+    harm = HarmonicEvaluator(ev_c1)
+    worst_arg = max(abs(harm.V(complex(x, t))) for x, t in pts)
 
     inj = check_injectivity(ev_c1, n_segments=100, seed=0, cells=4)
     tr = trace_boundary(ev_c1, -1.0, 1.2, base_n=200)
@@ -271,7 +264,7 @@ def test_criterion_08_secant_tangents(ev_c1):
 def test_criterion_09_monte_carlo_oracle(ev_lip):
     t0 = time.monotonic()
     mc = MCConfig(n_walkers=100_000, seed=42, wos_epsilon=1e-4)
-    rep = wos_harmonic_measure(_flat_trace(), 1j, [(-1.0, 1.0)], mc)
+    rep = wos_harmonic_measure(BoundaryTrace.flat(-8.0, 8.0, 33), 1j, [(-1.0, 1.0)], mc)
     half_dev = abs(rep.frequencies[0] - 0.5) / rep.sigmas[0]
 
     wedge = HilbertEvaluator(build_profile(MODE_LIPSCHITZ, jumps=[0.0],

@@ -41,6 +41,9 @@ def test_config_rejects_unknown_keys():
         parse_config({"mc": {"walkers": 10}})
     with pytest.raises(ValueError, match="theta.foo"):
         parse_config({"theta": {"foo": 1.0}})
+    # every key must take effect: the unused tail tolerance is gone
+    with pytest.raises(ValueError, match="unknown config key: tail_tol"):
+        parse_config({"tail_tol": 1e-8})
 
 
 def test_config_rejects_wrong_types():

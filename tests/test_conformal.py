@@ -206,7 +206,21 @@ def test_trace_validation(ev_c1):
     with pytest.raises(ValueError):
         BoundaryTrace(x=np.array([0.0, 0.0]), phi=np.zeros(2, complex),
                       abs_dphi=np.ones(2), is_singular=np.zeros(2, bool),
-                      level=np.zeros(2, int), c_prime=0.5)
+                      c_prime=0.5)
+
+
+def test_trace_from_sequences():
+    # a trace built from tuples stores ndarrays, so the polyline checks work
+    tr = BoundaryTrace(x=(-1.0, 0.0, 1.0, 2.0), phi=(-1 + 0j, 0j, 1 + 1j, 2 + 0j),
+                       abs_dphi=(1.0,) * 4, is_singular=(False, True, False, False),
+                       c_prime=0.5)
+    assert isinstance(tr.phi, np.ndarray) and tr.phi.dtype == complex
+    assert tr.is_singular.dtype == bool
+    assert tr.is_simple()
+    assert tr.secant_angles() == pytest.approx([0.0, math.pi / 4, -math.pi / 4])
+    flat = BoundaryTrace.flat(-8.0, 8.0, 33)
+    assert flat.is_simple()
+    assert np.array_equal(flat.phi, flat.x.astype(complex))
 
 
 # -- injectivity ---------------------------------------------------------------

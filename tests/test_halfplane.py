@@ -11,9 +11,7 @@ from nondini.hilbert import HilbertEvaluator
 from nondini.halfplane import (
     HarmonicEvaluator,
     UpperHalfPoint,
-    eval_G,
-    extend_V,
-    extend_W,
+    herglotz_transform,
     poisson_kernel,
     poisson_of_kf_oracle,
 )
@@ -156,12 +154,12 @@ def test_c1_W_diverges_at_jump_like_log(harm_c1):
 
 def test_extend_functions_match_evaluator(harm_c1):
     z = UpperHalfPoint(0.3, 0.5)
-    assert extend_V(harm_c1.profile, z) == pytest.approx(
-        harm_c1.V(z.as_complex()), abs=1e-12)
-    assert extend_W(harm_c1.ev, z) == pytest.approx(
-        harm_c1.W(z.as_complex()), abs=1e-12)
+    a = herglotz_transform(harm_c1.profile, z.x, z.t)
+    assert harm_c1.V(z) == pytest.approx(a.imag, abs=1e-12)
+    assert harm_c1.W(z) == pytest.approx(-a.real, abs=1e-12)
+    assert harm_c1.V(z.as_complex()) == harm_c1.V(z)
     with pytest.raises(ValueError):
-        extend_W(harm_c1.ev, complex(0.3, -0.5))
+        harm_c1.W(complex(0.3, -0.5))
 
 
 # -- G = exp(-W + iV) ------------------------------------------------------------
@@ -256,7 +254,7 @@ def test_G_growth_along_rays(harm_c1):
 
 
 def test_cache_does_not_change_values(harm_c1):
-    fresh = HarmonicEvaluator(harm_c1.ev, use_cache=False)
+    fresh = HarmonicEvaluator(harm_c1.ev)
     z = complex(0.3, 0.5)
     assert harm_c1.W(z) == fresh.W(z)
-    assert eval_G(harm_c1.ev, z) == pytest.approx(harm_c1.G(z), abs=1e-14)
+    assert HarmonicEvaluator(harm_c1.ev).G(z) == pytest.approx(harm_c1.G(z), abs=1e-14)

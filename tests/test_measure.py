@@ -37,16 +37,6 @@ WEDGE_C = 0.9
 WEDGE_Q = 1.0 - WEDGE_C / math.pi
 
 
-def flat_trace(x_lo=-8.0, x_hi=8.0, n=161):
-    """Straight boundary y = 0: the f == 0 case, Phi(x) = x."""
-    xs = np.linspace(x_lo, x_hi, n)
-    return BoundaryTrace(x=tuple(float(v) for v in xs),
-                         phi=tuple(complex(v) for v in xs),
-                         abs_dphi=tuple(1.0 for _ in xs),
-                         is_singular=tuple(False for _ in xs),
-                         level=0, c_prime=0.0)
-
-
 @pytest.fixture(scope="module")
 def ev_c1():
     sm = SmoothedModulus(ModulusSpec(kind="log_inverse", c=0.1)).selected(beta=0.5)
@@ -103,7 +93,7 @@ def test_density_singular_sentinels(ev_lip):
 
 
 def test_flat_ratio_is_one():
-    tr = flat_trace()
+    tr = BoundaryTrace.flat(-8.0, 8.0, 161)
     b = measure_ratio(tr, None, 0.3, 0.5)
     assert b.ratio == pytest.approx(1.0, abs=1e-12)
     assert b.x_lo == pytest.approx(-0.2, abs=1e-12)
@@ -113,7 +103,7 @@ def test_flat_ratio_is_one():
 @settings(max_examples=25, deadline=None)
 @given(center=st.floats(-2.0, 2.0), r=st.floats(0.1, 1.5))
 def test_flat_ratio_is_one_everywhere(center, r):
-    tr = flat_trace()
+    tr = BoundaryTrace.flat(-8.0, 8.0, 161)
     b = measure_ratio(tr, None, center, r)
     assert b.ratio == pytest.approx(1.0, abs=1e-12)
     assert b.x_hi - b.x_lo == pytest.approx(2.0 * r, abs=1e-12)
@@ -155,7 +145,7 @@ def test_ratio_converges_monotonically_at_regular_points(ev_lip, trace_lip):
 
 
 def test_ball_preimage_errors():
-    tr = flat_trace(-2.0, 2.0, 41)
+    tr = BoundaryTrace.flat(-2.0, 2.0, 41)
     with pytest.raises(ValueError, match="right end"):
         measure_ratio(tr, None, 1.5, 1.0)
     with pytest.raises(ValueError, match="left end"):
@@ -171,7 +161,7 @@ def test_ball_preimage_disconnected():
     tr = BoundaryTrace(x=(-2.0, -1.0, 0.0, 1.0, 2.0, 3.0),
                        phi=(-2 + 0j, -1 + 0j, 0j, 1 + 0j, 2 + 0j, 0.5 + 0j),
                        abs_dphi=(1.0,) * 6, is_singular=(False,) * 6,
-                       level=0, c_prime=0.0)
+                       c_prime=0.0)
     with pytest.raises(ValueError, match="disconnected"):
         measure_ratio(tr, None, 0.0, 0.6)
 
@@ -221,7 +211,7 @@ def test_scan_needs_two_distinct_radii(ev_lip, trace_lip):
 
 
 def test_scan_identity_boundary():
-    tr = flat_trace(-4.0, 4.0, 161)
+    tr = BoundaryTrace.flat(-4.0, 4.0, 161)
     rep = singular_set_scan(tr, None, [0.0, 1.0], [0.5, 0.25, 0.125])
     assert rep.flagged_set() == ()
     for c in rep.centers:
@@ -255,13 +245,13 @@ def test_report_csv_and_json(ev_lip, trace_lip):
 
 
 def test_interior_parity():
-    tr = flat_trace(-8.0, 8.0, 33)
+    tr = BoundaryTrace.flat(-8.0, 8.0, 33)
     assert is_interior(tr, 1j)
     assert not is_interior(tr, -1j)
 
 
 def test_wos_halfplane_matches_poisson_kernel():
-    tr = flat_trace(-8.0, 8.0, 33)
+    tr = BoundaryTrace.flat(-8.0, 8.0, 33)
     mc = MCConfig(n_walkers=20_000, seed=42, wos_epsilon=1e-4)
     rep = wos_harmonic_measure(tr, 1j, [(-1.0, 0.0), (0.0, 1.0)], mc)
     assert rep.n_lost == 0
@@ -278,9 +268,9 @@ def test_wos_deterministic_and_resolution_independent():
     # is the same straight line at any sampling density
     mc = MCConfig(n_walkers=20_000, seed=42, wos_epsilon=1e-4)
     arcs = [(-1.0, 0.0), (0.0, 1.0)]
-    r1 = wos_harmonic_measure(flat_trace(-8.0, 8.0, 33), 1j, arcs, mc)
-    r2 = wos_harmonic_measure(flat_trace(-8.0, 8.0, 33), 1j, arcs, mc)
-    r3 = wos_harmonic_measure(flat_trace(-8.0, 8.0, 161), 1j, arcs, mc)
+    r1 = wos_harmonic_measure(BoundaryTrace.flat(-8.0, 8.0, 33), 1j, arcs, mc)
+    r2 = wos_harmonic_measure(BoundaryTrace.flat(-8.0, 8.0, 33), 1j, arcs, mc)
+    r3 = wos_harmonic_measure(BoundaryTrace.flat(-8.0, 8.0, 161), 1j, arcs, mc)
     assert r1.counts == r2.counts == r3.counts == (4978, 4906)
 
 
@@ -296,7 +286,7 @@ def test_wos_wedge_matches_halfplane_pullback(ev_wedge, trace_wedge):
 
 
 def test_wos_validations():
-    tr = flat_trace(-8.0, 8.0, 33)
+    tr = BoundaryTrace.flat(-8.0, 8.0, 33)
     mc = MCConfig(n_walkers=2000, seed=1)
     with pytest.raises(ValueError, match="at least one arc"):
         wos_harmonic_measure(tr, 1j, [], mc)
@@ -330,7 +320,7 @@ def test_mc_config_validation():
 
 
 def test_pole_comparison_flat_arctan():
-    tr = flat_trace(-8.0, 8.0, 33)
+    tr = BoundaryTrace.flat(-8.0, 8.0, 33)
     rs = [2.0 ** -k for k in range(2, 7)]
     mc = MCConfig(n_walkers=40_000, seed=11, wos_epsilon=1e-5)
     rep = pole_comparison(tr, None, 1j, 0.0, rs, mc)
@@ -364,7 +354,7 @@ def test_pole_comparison_wedge_bounded(ev_wedge, trace_wedge):
 
 
 def test_pole_comparison_errors():
-    tr = flat_trace(-8.0, 8.0, 33)
+    tr = BoundaryTrace.flat(-8.0, 8.0, 33)
     mc = MCConfig(n_walkers=2000, seed=1)
     with pytest.raises(ValueError, match="twice the largest ball"):
         pole_comparison(tr, None, 0.1j, 0.0, [0.25], mc)

@@ -13,10 +13,7 @@ from nondini.modulus import (
     ModulusSpec,
     SmoothedModulus,
     classify_dini,
-    eval_theta,
     select_x0,
-    smooth_modulus,
-    smoothed_derivative,
 )
 
 LN2 = math.log(2.0)
@@ -36,30 +33,30 @@ def builtin_cases():
     ]
 
 
-# -- eval_theta -----------------------------------------------------------
+# -- theta -----------------------------------------------------------
 
 
 def test_eval_theta_log_inverse_values():
-    assert eval_theta(LOG_INV, 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert eval_theta(LOG_INV, 1.0 / math.e) == pytest.approx(LN2, abs=1e-15)
-    assert eval_theta(LOG_INV, 2.0 ** -10) == pytest.approx(0.1, abs=1e-15)
+    assert LOG_INV.theta(0.5) == pytest.approx(1.0, abs=1e-15)
+    assert LOG_INV.theta(1.0 / math.e) == pytest.approx(LN2, abs=1e-15)
+    assert LOG_INV.theta(2.0 ** -10) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_eval_theta_power_identity():
-    assert eval_theta(POWER1, 0.25) == 0.25
+    assert POWER1.theta(0.25) == 0.25
 
 
 def test_eval_theta_domain_errors():
     with pytest.raises(ValueError):
-        eval_theta(LOG_INV, 1.0)
+        LOG_INV.theta(1.0)
     with pytest.raises(ValueError):
-        eval_theta(LOG_INV, -0.1)
+        LOG_INV.theta(-0.1)
     with pytest.raises(ValueError):
-        eval_theta(POWER1, 3.0)
+        POWER1.theta(3.0)
     tab = ModulusSpec("tabulated", grid=((0.01, 0.1), (0.5, 0.4)))
     with pytest.raises(ValueError):
-        eval_theta(tab, 0.001)  # below the grid hull: no extrapolation
-    assert eval_theta(tab, 0.02) == pytest.approx(np.interp(0.02, [0.01, 0.5], [0.1, 0.4]))
+        tab.theta(0.001)  # below the grid hull: no extrapolation
+    assert tab.theta(0.02) == pytest.approx(np.interp(0.02, [0.01, 0.5], [0.1, 0.4]))
 
 
 def test_tabulated_validation():
@@ -94,21 +91,21 @@ def test_classify_tabulated():
     assert classify_dini(ModulusSpec("tabulated", grid=grid)) is DiniClass.INCONCLUSIVE
 
 
-# -- smooth_modulus closed forms vs the nested-quadrature oracle ----------
+# -- smoothed modulus closed forms vs the nested-quadrature oracle ----------
 
 
 def test_constant_smoothing_is_identity():
     sm = SmoothedModulus(CONST01)
     for r in (1e-6, 1e-3, 0.2):
-        assert smooth_modulus(sm, r) == pytest.approx(0.1, abs=1e-15)
-        assert smoothed_derivative(sm, r) == 0.0
+        assert sm.value(r) == pytest.approx(0.1, abs=1e-15)
+        assert sm.derivative(r) == 0.0
 
 
 def test_power_closed_form():
     sm = SmoothedModulus(POWER1)
-    assert smooth_modulus(sm, 0.01) == pytest.approx(0.01 / LN2 ** 2, rel=1e-14)
-    assert smooth_modulus(sm, 0.01) == pytest.approx(0.020813689810056078, rel=1e-13)
-    assert smoothed_derivative(sm, 0.03) == pytest.approx(1.0 / LN2 ** 2, rel=1e-14)
+    assert sm.value(0.01) == pytest.approx(0.01 / LN2 ** 2, rel=1e-14)
+    assert sm.value(0.01) == pytest.approx(0.020813689810056078, rel=1e-13)
+    assert sm.derivative(0.03) == pytest.approx(1.0 / LN2 ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("r", [2.0 ** -20, 2.0 ** -10, 0.01, 0.1])

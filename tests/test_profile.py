@@ -10,8 +10,7 @@ from nondini.profile import (
     BridgeSpline,
     build_bridge,
     build_profile,
-    eval_Htilde,
-    eval_profile,
+    htilde_vec,
     modulus_at_origin,
 )
 
@@ -92,9 +91,10 @@ def test_bridge_infeasible():
 
 
 def test_htilde_regions(sm_log, bridge_log):
-    assert eval_Htilde(sm_log, bridge_log, -1.0) == 0.0
-    assert eval_Htilde(sm_log, bridge_log, bridge_log.x_star + 1.0) == 1.0
-    v = eval_Htilde(sm_log, bridge_log, sm_log.x0)
+    left, right, v = htilde_vec(sm_log, bridge_log,
+                                [-1.0, bridge_log.x_star + 1.0, sm_log.x0])
+    assert left == 0.0
+    assert right == 1.0
     assert v == pytest.approx(sm_log.value(sm_log.x0), rel=1e-12)
 
 
@@ -102,14 +102,12 @@ def test_htilde_continuity_and_monotonicity(sm_log, bridge_log):
     x0, xs_ = sm_log.x0, sm_log.x_star
     # at 0 the rise is only modulus-continuous; at the interior knots it is C1
     h = 1e-12
-    assert abs(eval_Htilde(sm_log, bridge_log, h) - 0.0) <= sm_log.value(h)
+    assert abs(htilde_vec(sm_log, bridge_log, [h])[0] - 0.0) <= sm_log.value(h)
     for knot in (x0, xs_):
-        lo = eval_Htilde(sm_log, bridge_log, knot - h)
-        hi = eval_Htilde(sm_log, bridge_log, knot + h)
+        lo, hi = htilde_vec(sm_log, bridge_log, [knot - h, knot + h])
         assert abs(hi - lo) < 1e-9
     grid = np.concatenate([np.linspace(-0.5, 0.6, 801),
                            np.geomspace(1e-10, x0, 100)])
-    from nondini.profile import htilde_vec
     vals = htilde_vec(sm_log, bridge_log, np.sort(grid))
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -132,17 +130,17 @@ def test_modulus_at_origin(sm_log, bridge_log):
 
 def test_profile_lipschitz_single_step():
     p = build_profile("lipschitz", jumps=[0.0], amps=[1.0], c_prime_target=1.0)
-    assert eval_profile(p, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert eval_profile(p, -1e-12) == 0.0
-    assert eval_profile(p, 0.0) == pytest.approx(1.0)  # right-continuous step
+    assert p.f(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert p.f(-1e-12) == 0.0
+    assert p.f(0.0) == pytest.approx(1.0)  # right-continuous step
 
 
 def test_profile_c1_values(profile_c1):
     p = profile_c1
     assert p.c_prime == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert eval_profile(p, -0.5) == 0.0
-    assert eval_profile(p, 3.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
-    assert eval_profile(p, 2.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert p.f(-0.5) == 0.0
+    assert p.f(3.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert p.f(2.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
 
 
 def test_profile_monotone_and_bounded(profile_c1):
