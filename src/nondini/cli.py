@@ -38,12 +38,7 @@ from .conformal import (
     trace_boundary,
 )
 from .halfplane import HarmonicEvaluator
-from .hilbert import (
-    HilbertEvaluator,
-    is_neg_inf,
-    pv_quadrature_oracle,
-    region_bracket,
-)
+from .hilbert import HilbertEvaluator, pv_quadrature_oracle, region_bracket
 from .measure import (
     MCConfig,
     appendix_product_integral,
@@ -280,9 +275,8 @@ def _checks_hilbert(cfg: RunConfig, ev: HilbertEvaluator):
         for x in np.linspace(1e-3, 0.9 * p.sm.x_star, 20):
             v = ev.k_htilde(float(x))
             lo, hi = region_bracket(ev, float(x))
-            if not is_neg_inf(lo):
-                viol = max(viol, lo - PI * v)
-            if not is_neg_inf(hi) and math.isfinite(hi):
+            viol = max(viol, lo - PI * v)
+            if math.isfinite(hi):
                 viol = max(viol, PI * v - hi)
         yield ("hilbert/region-bracket", max(viol, 0.0), 10.0 * ev.quad_tol)
 
@@ -409,18 +403,27 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 # -- density ---------------------------------------------------------------------
 
 
+def _dyadic_ladder(top: float, bottom: float, what: str) -> list[float]:
+    """top, top/2, top/4, ... down to bottom (1e-12 relative slack), at least two."""
+    # halving never ends below a bound <= 0 or from an infinite top
+    if not (bottom > 0.0 and math.isfinite(top)):
+        raise ValueError(f"the {what} need finite, positive bounds")
+    out = []
+    v = top
+    while v >= bottom * (1.0 - 1e-12):
+        out.append(v)
+        v /= 2.0
+    if len(out) < 2:
+        raise ValueError(f"need at least two {what}")
+    return out
+
+
 def cmd_density(cfg: RunConfig, centers, r_min: float, r_max: float) -> int:
     if not centers:
         raise ValueError("density needs at least one center")
     if not 0.0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
-    rs = []
-    r = r_max
-    while r >= r_min * (1.0 - 1e-12):
-        rs.append(r)
-        r /= 2.0
-    if len(rs) < 2:
-        raise ValueError("need at least two dyadic radii between r_min and r_max")
+    rs = _dyadic_ladder(r_max, r_min, "dyadic radii between r_min and r_max")
     ev = build_evaluator(cfg)
     trace = trace_boundary(ev, cfg.x_lo, cfg.x_hi, base_n=cfg.base_n,
                            tol=cfg.quad_tol)
@@ -479,13 +482,7 @@ def cmd_appendix_check(cfg: RunConfig, b_lists, eps_min: float,
     if not b_lists:
         b_lists = [[0.25], [0.125, 0.125],
                    [2.0 ** -k / 16.0 for k in range(1, 7)]]
-    eps = []
-    e = eps_max
-    while e >= eps_min * (1.0 - 1e-12):
-        eps.append(e)
-        e /= 2.0
-    if len(eps) < 2:
-        raise ValueError("need at least two window sizes")
+    eps = _dyadic_ladder(eps_max, eps_min, "window sizes")
     rows = []
     ok = True
     for b in b_lists:
@@ -519,11 +516,12 @@ def cmd_appendix_check(cfg: RunConfig, b_lists, eps_min: float,
 # -- argument parsing ------------------------------------------------------------
 
 
-def _parse_centers(text: str):
+def _parse_floats(flag: str, text: str):
+    """Comma-separated numbers given to `flag`; blanks between commas are skipped."""
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"could not parse centers {text!r}") from None
+        raise ValueError(f"could not parse {flag} {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,14 +570,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         if args.command == "density":
-            return cmd_density(cfg, _parse_centers(args.centers),
+            return cmd_density(cfg, _parse_floats("--centers", args.centers),
                                args.r_min, args.r_max)
         if args.command == "mc-oracle":
             return cmd_mc_oracle(cfg)
         if args.command == "appendix-check":
-            return cmd_appendix_check(cfg, [_parse_centers(t) for t in args.b],
-                                      args.eps_min, args.eps_max,
-                                      args.placement)
+            b_lists = [_parse_floats("--b", t) for t in args.b]
+            return cmd_appendix_check(cfg, b_lists, args.eps_min,
+                                      args.eps_max, args.placement)
         raise ValueError(f"unknown command {args.command!r}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,9 +14,10 @@ Gauss cells (boundary) or adaptive Gauss-Kronrod (interior paths).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,16 @@ def _as_harmonic(ev) -> HarmonicEvaluator:
     if isinstance(ev, HilbertEvaluator):
         return HarmonicEvaluator(ev)
     raise TypeError("expected a HilbertEvaluator or HarmonicEvaluator")
+
+
+@contextlib.contextmanager
+def _text_sink(path_or_buf):
+    """A path is opened for writing and closed afterwards; a buffer is used as is."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        with open(path_or_buf, "w") as fh:
+            yield fh
+    else:
+        yield path_or_buf
 
 
 @dataclass(frozen=True)
@@ -207,22 +218,13 @@ class BoundaryTrace:
                    is_singular=np.zeros(n, dtype=bool), c_prime=0.0)
 
     def to_csv(self, path_or_buf) -> None:
-        close = False
-        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-            fh = open(path_or_buf, "w")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
+        with _text_sink(path_or_buf) as fh:
             fh.write("x,re_phi,im_phi,abs_dphi,is_singular\n")
             for xj, pj, dj, sj in zip(self.x, self.phi, self.abs_dphi,
                                       self.is_singular):
                 dtxt = "inf" if math.isinf(dj) else f"{dj:.17g}"
                 fh.write(f"{xj:.17g},{pj.real:.17g},{pj.imag:.17g},"
                          f"{dtxt},{int(sj)}\n")
-        finally:
-            if close:
-                fh.close()
 
     def is_simple(self) -> bool:
         """No proper self-intersection among non-adjacent polyline segments."""
@@ -433,7 +435,8 @@ def _integrate_split(fn, plan, cells: int = 4):
     return total
 
 
-def secant_tangent(ev, x: float, eps_list) -> list[tuple[float, float]]:
+def secant_tangent(ev: HilbertEvaluator, x: float,
+                   eps_list) -> list[tuple[float, float]]:
     """Polar form of (Phi(x + eps) - Phi(x)) / eps for each eps.
 
     At a jump point the modulus grows without bound while the angle tends to
@@ -442,9 +445,7 @@ def secant_tangent(ev, x: float, eps_list) -> list[tuple[float, float]]:
     runs the flattened rule on singular edges (for x near the accumulation
     point the pieces have jumps on both ends).
     """
-    harm = _as_harmonic(ev)
-    ev = harm.ev
-    p = harm.profile
+    p = ev.profile
     eps = [float(e) for e in eps_list]
     if not eps or any(e <= 0.0 for e in eps):
         raise ValueError("eps_list must contain positive values")
@@ -467,10 +468,9 @@ def secant_tangent(ev, x: float, eps_list) -> list[tuple[float, float]]:
     return [(abs(diffs[e] / e), cmath.phase(diffs[e] / e)) for e in eps]
 
 
-def average_derivative(ev, x: float, a: float, b: float) -> float:
+def average_derivative(ev: HilbertEvaluator, x: float, a: float,
+                       b: float) -> float:
     """A(a, b) = (1/(a+b)) int_{x-a}^{x+b} |Phi'|; blows up at jump points."""
-    harm = _as_harmonic(ev)
-    ev = harm.ev
     if not (a > 0.0 and b > 0.0):
         raise ValueError("need positive window sides")
 
@@ -478,5 +478,5 @@ def average_derivative(ev, x: float, a: float, b: float) -> float:
         with np.errstate(divide="ignore"):
             return np.exp(-ev.kf_vec(ys))
 
-    total = _integrate_split(fn, _split_singular(harm.profile, x - a, x + b))
+    total = _integrate_split(fn, _split_singular(ev.profile, x - a, x + b))
     return float(total.real) / (a + b)

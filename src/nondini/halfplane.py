@@ -18,6 +18,11 @@ saturation point, so the range truncates to [y_min, Y] with the exact tail
     int_Y^inf c' [1/(y-z) - 1/y] dy = -c' log(1 - z/Y),   Y >= max(sat, 1),
 
 where the principal branch applies because Im(1 - z/y) < 0 throughout.
+
+Conventions: interior points are `complex` with Im z > 0 (V, W and
+g_exponent reject any other; G takes a real point as a boundary point),
+boundary points are floats, and Kf = -infinity on the singular set is IEEE
+-inf, where the boundary G has infinite modulus.
 """
 
 from __future__ import annotations
@@ -28,36 +33,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import HilbertEvaluator, is_neg_inf
+from .hilbert import HilbertEvaluator
 from .profile import TangentProfile, MODE_C1, MODE_LIPSCHITZ
 from .quadrature import gauss_graded, graded_edges, merge_edges
 
 __all__ = [
-    "UpperHalfPoint",
     "HarmonicEvaluator",
     "poisson_kernel",
 ]
 
 PI = math.pi
-
-
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """Interior point z = x + it, t > 0. Boundary points travel as plain reals."""
-
-    x: float
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0.0:
-            raise ValueError("interior point needs t > 0")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.t)
-
-    def delta0(self, p: TangentProfile) -> float:
-        """Distance to the (boundary) jump set."""
-        return min(math.hypot(self.x - xk, self.t) for xk in p.x)
+# truncation half-width of the direct Poisson quadrature of Kf
+_ORACLE_HALF_WIDTH = 4000.0
 
 
 def poisson_kernel(xi, t):
@@ -70,8 +57,6 @@ def poisson_kernel(xi, t):
 
 
 def _as_xt(z) -> tuple[float, float]:
-    if isinstance(z, UpperHalfPoint):
-        return z.x, z.t
     zc = complex(z)
     if zc.imag <= 0.0:
         raise ValueError("interior evaluation needs Im z > 0")
@@ -84,8 +69,7 @@ def herglotz_transform(p: TangentProfile, x: float, t: float,
     z = complex(x, t)
     jumps = np.asarray(p.x, dtype=float)
     y_min = float(jumps.min())
-    sat = float(jumps.max()) + (p.bridge.x_star if p.mode == MODE_C1 else 0.0)
-    Y = max(sat, 1.0)
+    Y = max(p.saturation, 1.0)
     span = Y - y_min
 
     def fn(y):
@@ -146,16 +130,10 @@ class HarmonicEvaluator:
         return self._cache[key]
 
     def V(self, z) -> float:
-        x, t = _as_xt(z)
-        if self.profile.mode == MODE_LIPSCHITZ:
-            return _poisson_of_step(self.profile, x, t)
-        return self.herglotz(x, t).imag
+        return self.g_exponent(z).imag
 
     def W(self, z) -> float:
-        x, t = _as_xt(z)
-        if self.profile.mode == MODE_LIPSCHITZ:
-            return _log_sum(self.profile, x, t)
-        return -self.herglotz(x, t).real
+        return -self.g_exponent(z).real
 
     def g_exponent(self, z) -> complex:
         """-W + iV as one number (= A(z) in C1 mode)."""
@@ -167,7 +145,7 @@ class HarmonicEvaluator:
 
     def G(self, z) -> complex:
         """exp(-W + iV) interior; boundary reals use |G| = exp(-Kf), arg = f."""
-        if isinstance(z, UpperHalfPoint) or (isinstance(z, complex) and z.imag != 0.0):
+        if isinstance(z, complex) and z.imag != 0.0:
             return cmath.exp(self.g_exponent(z))
         return self.boundary_G(float(np.real(z)))
 
@@ -175,34 +153,34 @@ class HarmonicEvaluator:
         """G(x) on the real line; +inf magnitude at the singular set {x_k}.
 
         At singular points the returned complex has infinite modulus but its
-        components carry the direction cos/sin(f(x)); use boundary_arg for the
-        argument, which stays well defined there.
+        components carry the direction cos/sin(f(x)); the argument f(x) stays
+        well defined there.
         """
         val, _ = self.ev.k_profile(x)
-        theta = self.boundary_arg(x)
-        if is_neg_inf(val):
+        theta = self.profile.f(x)
+        if val == -math.inf:
             return complex(math.inf * math.cos(theta), math.inf * math.sin(theta))
         r = math.exp(-val)
         return complex(r * math.cos(theta), r * math.sin(theta))
 
-    def boundary_arg(self, x: float) -> float:
-        return self.ev.profile.f(x)
 
-
-def poisson_of_kf_oracle(ev: HilbertEvaluator, x: float, t: float,
-                         half_width: float = 4000.0) -> float:
+def poisson_of_kf_oracle(ev: HilbertEvaluator, x: float, t: float) -> float:
     """Direct quadrature of P_t * Kf: the independent check that -Re A = W.
 
     Kf itself grows like (c'/pi) log|y|, whose Poisson integral is known
     exactly ((c'/pi) log|z|), so only the remainder Kf - (c'/pi) log|y| is
-    integrated numerically; it decays like 1/y, making the truncation tail
-    O(t/L^2). Kf values come from the region formulas; the integrable log
-    spikes (jump set, and the origin from the subtracted log) get geometric
-    refinement. The tail bound is checked and reported if too large.
+    integrated numerically over |y - x| <= L, L = 4000; it decays like 1/y,
+    making the truncation tail O(t/L^2). Kf values come from the region
+    formulas; the integrable log spikes (jump set, and the origin from the
+    subtracted log) get geometric refinement. The tail bound is checked and
+    reported if too large.
     """
+    L = _ORACLE_HALF_WIDTH
+    if L < 8.0 * (abs(x) + t + 1.0):
+        raise ValueError(f"|x| + t too large for the 1/y tail estimate at "
+                         f"truncation half-width {L:g}")
     p = ev.profile
     cp = p.c_prime
-    L = half_width
     lo, hi = x - L, x + L
 
     def rem(y):
@@ -219,14 +197,12 @@ def poisson_of_kf_oracle(ev: HilbertEvaluator, x: float, t: float,
     edges = merge_edges(*sets)
     val = gauss_graded(fn, edges, tol=1e-10, max_rounds=4)
     val += (cp / PI) * 0.5 * math.log(x * x + t * t)
-    if L < 8.0 * (abs(x) + t + 1.0):
-        raise ValueError("half_width too small for the 1/y tail estimate")
     rem_far = max(abs(float(rem(np.array([lo]))[0])),
                   abs(float(rem(np.array([hi]))[0])))
     # |rem(y)| <~ C/|y| with C = rem_far * L, so the two-sided tail is about
     # C t / (pi L^2); keep a margin factor of 4.
     tail_bound = 4.0 * rem_far * t / (PI * L)
     if tail_bound > 1e-8:
-        raise ValueError(f"truncation tail bound {tail_bound:.2e} too large; "
-                         f"increase half_width")
+        raise ValueError(f"truncation tail bound {tail_bound:.2e} too large at "
+                         f"truncation half-width {L:g}")
     return val

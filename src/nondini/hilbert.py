@@ -17,6 +17,10 @@ integrands are difference quotients, bounded by local slope data.
 An independent principal-value quadrature oracle (symmetric excision with
 Richardson extrapolation in the excision radius) is provided for cross-checks;
 it only ever touches profile values, never the region formulas.
+
+Conventions: Kf = -infinity on the singular set is IEEE -inf (`-math.inf` from
+the scalar paths, `-np.inf` in arrays), boundary points are floats, and every
+function that needs only Kf takes the HilbertEvaluator itself.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "NEG_INF",
-    "is_neg_inf",
     "HilbertEvaluator",
     "pv_log_integral",
     "K_heaviside",
@@ -48,22 +50,6 @@ __all__ = [
 ]
 
 PI = math.pi
-
-
-class _NegInfinity:
-    """Typed minus-infinity sentinel for the logarithmic singularities."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NEG_INF"
-
-
-NEG_INF = _NegInfinity()
-
-
-def is_neg_inf(v) -> bool:
-    return v is NEG_INF
 
 
 def pv_log_integral(a: float, b: float, x: float) -> float:
@@ -76,9 +62,9 @@ def pv_log_integral(a: float, b: float, x: float) -> float:
 
 
 def K_heaviside(x: float):
-    """K of the unit step at 0: (1/pi) log|x|, minus-infinity sentinel at 0."""
+    """K of the unit step at 0: (1/pi) log|x|, -inf at 0."""
     if x == 0.0:
-        return NEG_INF
+        return -math.inf
     return math.log(abs(x)) / PI
 
 
@@ -96,13 +82,6 @@ class HilbertEvaluator:
 
     _memo: dict = field(default_factory=dict, repr=False)
     _table: "KHtildeTable | None" = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.profile.mode == MODE_C1:
-            if self.profile.sm is None or self.profile.bridge is None:
-                raise ValueError("c1 profile must carry sm and bridge")
-        self._x0 = None if self.profile.bridge is None else self.profile.bridge.x0
-        self._xs = None if self.profile.bridge is None else self.profile.bridge.x_star
 
     # -- region formulas for pi * K Htilde -----------------------------------
 
@@ -127,7 +106,7 @@ class HilbertEvaluator:
         Graded toward 0 where theta_tilde varies on every scale; the tail cell
         at 0 contributes O(cell * theta_tilde / |x|), controlled by min_scale.
         """
-        x0 = self._x0
+        x0 = self.bridge.x0
         # the first cell [0, min_scale] carries integrand magnitude ~ ht/|x|,
         # so the grading floor must shrink with |x|
         scale = min(abs(x), x0)
@@ -146,7 +125,7 @@ class HilbertEvaluator:
         window |y - x| < eta it is replaced by that difference-quotient limit
         (error O(eta^2 * curvature), far below quad_tol for eta = 1e-6 x).
         """
-        x0 = self._x0
+        x0 = self.bridge.x0
         hx = self.sm.value(x)
         dx = self.sm.derivative(x)
         eta = 1e-6 * x
@@ -166,14 +145,14 @@ class HilbertEvaluator:
 
     def _int_bridge(self, x: float, shift: float, focus: float) -> float:
         """int_{x0}^{x_star} (g(y) - shift) / (x - y) dy, x outside (x0, x_star)."""
-        x0, xs = self._x0, self._xs
+        x0, xs = self.bridge.x0, self.bridge.x_star
         fn = lambda y: (self.bridge.value_vec(y) - shift) / (x - y)
         edges = self._bridge_edges(x0, xs, focus, (xs - x0) * 1e-10)
         return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
 
     def _int_bridge_pv(self, x: float) -> float:
         """int_{x0}^{x_star} (g(y) - g(x)) / (x - y) dy, x0 <= x <= x_star."""
-        x0, xs = self._x0, self._xs
+        x0, xs = self.bridge.x0, self.bridge.x_star
         gx = self.bridge.value(x)
         dgx = self.bridge.slope(x)
         eta = 1e-8 * (xs - x0)
@@ -191,7 +170,7 @@ class HilbertEvaluator:
 
     def _pi_k_htilde(self, x: float) -> float:
         """pi * K Htilde(x) by the region-matched cancellation-free formulas."""
-        x0, xs = self._x0, self._xs
+        x0, xs = self.bridge.x0, self.bridge.x_star
         ht0 = float(self.sm.value_vec(np.array([x0]))[0])
         if x < 0.0:
             return (self._int_rise(x, 0.0) + self._int_bridge(x, 0.0, x0)
@@ -218,11 +197,11 @@ class HilbertEvaluator:
     # -- public evaluation ----------------------------------------------------
 
     def k_htilde(self, x: float):
-        """K Htilde(x); typed minus-infinity sentinel at x = 0."""
+        """K Htilde(x); -inf at x = 0."""
         if self.profile.mode != MODE_C1:
             raise ValueError("K Htilde needs a c1 profile (Lipschitz mode has no Htilde)")
         if x == 0.0:
-            return NEG_INF
+            return -math.inf
         key = float(x)
         if key not in self._memo:
             self._memo[key] = self._pi_k_htilde(key) / PI
@@ -255,7 +234,7 @@ class HilbertEvaluator:
         return p.c * out
 
     def k_profile(self, x: float):
-        """(K f(x) or sentinel, regular part with the nearest jump's term removed)."""
+        """(K f(x), -inf at a jump; regular part without the nearest jump's term)."""
         p = self.profile
         k_near = min(range(p.K), key=lambda k: abs(x - p.x[k]))
         terms = []
@@ -267,11 +246,11 @@ class HilbertEvaluator:
                 t = self.k_htilde(u)
             terms.append((ak, t))
         regular = p.c * math.fsum(ak * t for i, (ak, t) in enumerate(terms)
-                                  if i != k_near and not is_neg_inf(t))
-        if any(is_neg_inf(t) for i, (ak, t) in enumerate(terms) if i != k_near):
+                                  if i != k_near and t != -math.inf)
+        if any(t == -math.inf for i, (ak, t) in enumerate(terms) if i != k_near):
             raise AssertionError("distinct jumps cannot share a singularity")
-        if is_neg_inf(terms[k_near][1]):
-            return NEG_INF, regular
+        if terms[k_near][1] == -math.inf:
+            return -math.inf, regular
         value = regular + p.c * terms[k_near][0] * terms[k_near][1]
         return value, regular
 
@@ -368,8 +347,7 @@ def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> floa
         raise ValueError("oracle needs dist(x, jumps) >= min eps")
 
     y_min = float(jumps.min())
-    sat = float(jumps.max()) + (p.bridge.x_star if p.mode == MODE_C1 else 0.0)
-    Y = max(2.0, sat + 1.0, x + 1.0 + 2.0 * eps_sequence[0])
+    Y = max(2.0, p.saturation + 1.0, x + 1.0 + 2.0 * eps_sequence[0])
     kinks = [1.0]
     for xk in jumps:
         kinks.append(xk)
@@ -415,12 +393,13 @@ def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> floa
 class KHtildeTable:
     """Per-piece Chebyshev fit of K Htilde in log2|u|, one sign branch each.
 
-    Pieces are octaves of |u| on [2^lo_exp, 2^hi_exp], split at the Htilde
+    Pieces are octaves of |u| on [2^LO_EXP, 2^HI_EXP], split at the Htilde
     knots and geometrically refined toward x_star (and x0, and any interior
     bridge knot) where K has weak (u-knot)^2 log|u-knot| endpoint behavior.
     Exact zeros map to IEEE -inf; arguments outside the table range fall back
-    to the direct region formulas. Construction samples random points on both
-    branches and records the observed sup error against the direct evaluator.
+    to the direct region formulas. Construction samples N_CHECK random points
+    on both branches and records the observed sup error against the direct
+    evaluator, which must stay below CHECK_TOL.
     """
 
     def __init__(self, pos_edges, pos_coef, neg_edges, neg_coef, ev, max_err):
@@ -434,24 +413,28 @@ class KHtildeTable:
         self.v_hi = pos_edges[-1]
 
     DEG = 23
+    LO_EXP = -48
+    HI_EXP = 16
+    N_CHECK = 160
+    CHECK_TOL = 1e-8
 
     @classmethod
-    def build(cls, ev: HilbertEvaluator, lo_exp: int = -48, hi_exp: int = 16,
-              n_check: int = 160, tol: float = 1e-8) -> "KHtildeTable":
+    def build(cls, ev: HilbertEvaluator) -> "KHtildeTable":
         x0, xs = ev.bridge.x0, ev.bridge.x_star
-        base = [2.0 ** e for e in range(lo_exp, hi_exp + 1)]
-        splits = set(base)
+        exps = range(cls.LO_EXP, cls.HI_EXP + 1)
+        u_lo, u_hi = 2.0 ** cls.LO_EXP, 2.0 ** cls.HI_EXP
+        splits = {2.0 ** e for e in exps}
         span = xs - x0
         for knot in ev.bridge.knots:
             for j in range(0, 17):
                 for s in (knot - span * 2.0 ** -j, knot + span * 2.0 ** -j):
-                    if 2.0 ** lo_exp < s < 2.0 ** hi_exp:
+                    if u_lo < s < u_hi:
                         splits.add(s)
-            if 2.0 ** lo_exp < knot < 2.0 ** hi_exp:
+            if u_lo < knot < u_hi:
                 splits.add(knot)
         pos_u = np.array(sorted(splits))
         pos_edges = np.log2(pos_u)
-        neg_edges = np.array([float(e) for e in range(lo_exp, hi_exp + 1)])
+        neg_edges = np.array([float(e) for e in exps])
 
         nodes = np.cos(np.pi * (np.arange(cls.DEG + 1) + 0.5) / (cls.DEG + 1))
 
@@ -465,11 +448,12 @@ class KHtildeTable:
         table = cls(pos_edges, pos_coef, neg_edges, neg_coef, ev, 0.0)
 
         rng = np.random.default_rng(123456789)
-        v = rng.uniform(lo_exp, hi_exp, n_check)
-        us = np.concatenate([2.0 ** v[: n_check // 2], -(2.0 ** v[n_check // 2:])])
+        v = rng.uniform(cls.LO_EXP, cls.HI_EXP, cls.N_CHECK)
+        half = cls.N_CHECK // 2
+        us = np.concatenate([2.0 ** v[:half], -(2.0 ** v[half:])])
         direct = np.array([ev.k_htilde(float(u)) for u in us])
         err = float(np.max(np.abs(table.eval_vec(us) - direct)))
-        if err > tol:
+        if err > cls.CHECK_TOL:
             raise QuadratureError(f"K Htilde table check failed: sup err {err:.3e}")
         table.max_err = err
         return table
@@ -500,6 +484,5 @@ class KHtildeTable:
         self._eval_branch(v, self.neg_edges, self.neg_coef, out, inside & (u < 0))
         far = (~zero) & ~inside
         for i in np.nonzero(far)[0]:
-            val = self.ev.k_htilde(float(u[i]))
-            out[i] = -np.inf if is_neg_inf(val) else val
+            out[i] = self.ev.k_htilde(float(u[i]))
         return out.reshape(shape)

@@ -21,33 +21,32 @@ straight tails), giving an oracle that is independent of the conformal
 machinery. appendix_product_integral verifies the integrability estimate
 int_{-eps}^{eps} prod_k |x - s_k|^{-b_k} dx <= C eps^{1 - sum b_k} that
 controls the boundary parametrization near the accumulation point.
+
+Conventions: every function here needs only Kf and the profile, so it takes
+the HilbertEvaluator itself, or None for the identity boundary (f = 0);
+boundary points are floats and Kf = -infinity is IEEE -inf.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import (
     BoundaryTrace,
-    _as_harmonic,
     _boundary_g,
     _integrate_split,
     _split_singular,
+    _text_sink,
 )
 from .quadrature import split_plan
 
 PI = math.pi
-
-
-def _as_harm_opt(ev):
-    """None stays None (identity boundary, f = 0); else HarmonicEvaluator."""
-    if ev is None:
-        return None
-    return _as_harmonic(ev)
+# walkers per distance evaluation in _nearest_on_segments (bounds the
+# walkers x segments work array)
+_WALKER_CHUNK = 8192
 
 
 # -- pointwise density -----------------------------------------------------------
@@ -71,11 +70,10 @@ def density_at(ev, x: float) -> DensitySample:
     xs = float(x)
     if ev is None:
         return DensitySample(xs, 1.0, False)
-    harm = _as_harmonic(ev)
-    p = harm.profile
+    p = ev.profile
     if xs == 0.0 or any(xs == xk for xk in p.x):
         return DensitySample(xs, 0.0, True)
-    kf = float(harm.ev.kf_vec(np.array([xs]))[0])
+    kf = float(ev.kf_vec(np.array([xs]))[0])
     return DensitySample(xs, math.exp(kf), False)
 
 
@@ -91,17 +89,16 @@ class BallRatio:
     x_hi: float
 
 
-def _phi_from(harm, ax: float, aphi: complex, x: float) -> complex:
+def _phi_from(ev, ax: float, aphi: complex, x: float) -> complex:
     """Phi(x) from the anchor value aphi = Phi(ax), along the boundary."""
-    if harm is None:
+    if ev is None:
         return aphi + (x - ax)
     lo, hi = (ax, x) if x > ax else (x, ax)
-    inc = _integrate_split(_boundary_g(harm.ev),
-                           _split_singular(harm.profile, lo, hi))
+    inc = _integrate_split(_boundary_g(ev), _split_singular(ev.profile, lo, hi))
     return aphi + inc if x > ax else aphi - inc
 
 
-def _phi_on_boundary(trace: BoundaryTrace, harm, x: float) -> complex:
+def _phi_on_boundary(trace: BoundaryTrace, ev, x: float) -> complex:
     """Phi(x) anchored at the nearest trace sample (exact at samples)."""
     xs = np.asarray(trace.x)
     j = int(np.clip(np.searchsorted(xs, x), 1, xs.size - 1))
@@ -110,15 +107,15 @@ def _phi_on_boundary(trace: BoundaryTrace, harm, x: float) -> complex:
     ax, aphi = float(xs[j]), complex(trace.phi[j])
     if x == ax:
         return aphi
-    return _phi_from(harm, ax, aphi, x)
+    return _phi_from(ev, ax, aphi, x)
 
 
-def _bisect_crossing(harm, x_in: float, phi_in: complex, x_out: float,
+def _bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,
                      p_img: complex, r: float) -> float:
     """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r."""
 
     def h(x: float) -> float:
-        return abs(_phi_from(harm, x_in, phi_in, x) - p_img) - r
+        return abs(_phi_from(ev, x_in, phi_in, x) - p_img) - r
 
     a, b = x_in, x_out
     for _ in range(120):
@@ -132,7 +129,7 @@ def _bisect_crossing(harm, x_in: float, phi_in: complex, x_out: float,
     return 0.5 * (a + b)
 
 
-def _ball_preimage(trace: BoundaryTrace, harm, x_center: float,
+def _ball_preimage(trace: BoundaryTrace, ev, x_center: float,
                    r: float) -> tuple[float, float]:
     """Preimage [x_lo, x_hi] of the surface ball of radius r at Phi(x_center).
 
@@ -146,7 +143,7 @@ def _ball_preimage(trace: BoundaryTrace, harm, x_center: float,
     xs = np.asarray(trace.x)
     if not xs[0] < x_center < xs[-1]:
         raise ValueError("center outside the traced window")
-    p_img = _phi_on_boundary(trace, harm, x_center)
+    p_img = _phi_on_boundary(trace, ev, x_center)
     hs = np.abs(np.asarray(trace.phi) - p_img) - r
     iR = int(np.searchsorted(xs, x_center, side="right"))
     iL = iR - 1
@@ -161,7 +158,7 @@ def _ball_preimage(trace: BoundaryTrace, harm, x_center: float,
         in_x, in_phi = x_center, p_img
     else:
         in_x, in_phi = float(xs[jL + 1]), complex(trace.phi[jL + 1])
-    x_lo = _bisect_crossing(harm, in_x, in_phi, float(xs[jL]), p_img, r)
+    x_lo = _bisect_crossing(ev, in_x, in_phi, float(xs[jL]), p_img, r)
 
     out_right = np.flatnonzero(hs[iR:] >= 0.0)
     if out_right.size == 0:
@@ -173,7 +170,7 @@ def _ball_preimage(trace: BoundaryTrace, harm, x_center: float,
         in_x, in_phi = x_center, p_img
     else:
         in_x, in_phi = float(xs[jR - 1]), complex(trace.phi[jR - 1])
-    x_hi = _bisect_crossing(harm, in_x, in_phi, float(xs[jR]), p_img, r)
+    x_hi = _bisect_crossing(ev, in_x, in_phi, float(xs[jR]), p_img, r)
     return x_lo, x_hi
 
 
@@ -185,17 +182,16 @@ def measure_ratio(trace: BoundaryTrace, ev, x_center: float,
     pullback), arclength integrates |Phi'| = exp(-Kf) over the same interval
     with flattened rules at interior jumps.
     """
-    harm = _as_harm_opt(ev)
-    x_lo, x_hi = _ball_preimage(trace, harm, x_center, r)
+    x_lo, x_hi = _ball_preimage(trace, ev, x_center, r)
     omega = x_hi - x_lo
-    if harm is None:
+    if ev is None:
         length = omega
     else:
         def fn(ys):
             with np.errstate(divide="ignore"):
-                return np.exp(-harm.ev.kf_vec(ys))
+                return np.exp(-ev.kf_vec(ys))
 
-        length = _integrate_split(fn, _split_singular(harm.profile,
+        length = _integrate_split(fn, _split_singular(ev.profile,
                                                       x_lo, x_hi)).real
     return BallRatio(float(omega), float(length), float(omega / length),
                      float(x_lo), float(x_hi))
@@ -228,21 +224,12 @@ class DensityReport:
         return tuple(c.x for c in self.centers if c.flagged)
 
     def to_csv(self, path_or_buf) -> None:
-        close = False
-        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-            fh = open(path_or_buf, "w")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
+        with _text_sink(path_or_buf) as fh:
             fh.write("center_x,r,omega,length,ratio,flagged\n")
             for c in self.centers:
                 for r, om, ln, ra in zip(c.rs, c.omegas, c.lengths, c.ratios):
                     fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
                              % (c.x, r, om, ln, ra, int(c.flagged)))
-        finally:
-            if close:
-                fh.close()
 
     def to_json_summary(self) -> dict:
         return {
@@ -278,7 +265,6 @@ def singular_set_scan(trace: BoundaryTrace, ev, centers, r_list,
     rs = sorted((float(r) for r in r_list), reverse=True)
     if len(rs) < 2 or len(set(rs)) != len(rs):
         raise ValueError("need at least two distinct radii")
-    harm = _as_harm_opt(ev)
     out = []
     for x_c in centers:
         x_c = float(x_c)
@@ -289,7 +275,7 @@ def singular_set_scan(trace: BoundaryTrace, ev, centers, r_list,
         flagged = (ratios[-1] < threshold
                    and all(b < a for a, b in zip(tail, tail[1:])))
         slope = float(np.polyfit(np.log(rs), np.log(ratios), 1)[0])
-        p_img = _phi_on_boundary(trace, harm, x_c)
+        p_img = _phi_on_boundary(trace, ev, x_c)
         if not dens.singular and abs(ratios[-1] - dens.value) > control_tol:
             raise ValueError(
                 "control at x=%g: ratio %.6g vs density %.6g exceeds %g"
@@ -361,8 +347,7 @@ def _extended_segments(trace: BoundaryTrace, far_radius: float):
     return seg_s, seg_e, par_s, par_e
 
 
-def _nearest_on_segments(z: np.ndarray, seg_s: np.ndarray, seg_e: np.ndarray,
-                         chunk: int = 8192):
+def _nearest_on_segments(z: np.ndarray, seg_s: np.ndarray, seg_e: np.ndarray):
     """(distance, segment index, parameter t) of the closest boundary point."""
     n = z.size
     dist = np.empty(n)
@@ -370,6 +355,7 @@ def _nearest_on_segments(z: np.ndarray, seg_s: np.ndarray, seg_e: np.ndarray,
     ts = np.empty(n)
     d = seg_e - seg_s
     L2 = d.real * d.real + d.imag * d.imag
+    chunk = _WALKER_CHUNK
     for i0 in range(0, n, chunk):
         zz = z[i0:i0 + chunk, None]
         w = zz - seg_s[None, :]
@@ -517,12 +503,11 @@ def pole_comparison(trace: BoundaryTrace, ev, X: complex, p_center: float,
     rs_all = sorted(float(r) for r in r_list)
     if len(rs_all) < 1 or len(set(rs_all)) != len(rs_all) or rs_all[0] <= 0.0:
         raise ValueError("radii must be positive and distinct")
-    harm = _as_harm_opt(ev)
-    p_img = _phi_on_boundary(trace, harm, float(p_center))
+    p_img = _phi_on_boundary(trace, ev, float(p_center))
     X = complex(X)
     if abs(X - p_img) <= 2.0 * rs_all[-1]:
         raise ValueError("pole must stay outside twice the largest ball")
-    spans_all = [_ball_preimage(trace, harm, float(p_center), r)
+    spans_all = [_ball_preimage(trace, ev, float(p_center), r)
                  for r in rs_all]
     for (u1, v1), (u2, v2) in zip(spans_all, spans_all[1:]):
         if not (u2 <= u1 and v1 <= v2):

@@ -45,6 +45,11 @@ _KINDS = (KIND_CONSTANT, KIND_POWER, KIND_LOG_INVERSE, KIND_TABULATED)
 
 _DEFAULT_RMAX = {KIND_CONSTANT: 2.0, KIND_POWER: 2.0, KIND_LOG_INVERSE: 1.0}
 
+# classify_dini on a tabulated modulus: the dyadic series has converged once
+# its last term is below the first, and diverged once its sum passes the second
+_DINI_CONVERGED_INCREMENT = 1e-8
+_DINI_DIVERGED_SUM = 40.0
+
 
 class DiniClass(enum.Enum):
     DINI = "dini"
@@ -122,14 +127,13 @@ class ModulusSpec:
         return np.interp(r, rs, vs)
 
 
-def classify_dini(spec: ModulusSpec, tol: float = 1e-8,
-                  divergence_threshold: float = 40.0) -> DiniClass:
+def classify_dini(spec: ModulusSpec) -> DiniClass:
     """Decide whether int_0 theta(r)/r dr converges.
 
     Builtins are decided analytically. The tabulated kind sums the dyadic
     series ln2 * sum theta(2^-i) over the grid hull: converged when the last
-    increment drops below tol, divergent when the partial sum passes the
-    threshold, Inconclusive otherwise (the grid may simply end too early).
+    increment drops below 1e-8, divergent when the partial sum passes 40,
+    Inconclusive otherwise (the grid may simply end too early).
     """
     if spec.kind == KIND_CONSTANT:
         return DiniClass.DINI if spec.c == 0.0 else DiniClass.NON_DINI
@@ -145,10 +149,10 @@ def classify_dini(spec: ModulusSpec, tol: float = 1e-8,
     while 2.0 ** (-i) >= r_lo:
         increment = LN2 * spec.theta(2.0 ** (-i))
         total += increment
-        if total > divergence_threshold:
+        if total > _DINI_DIVERGED_SUM:
             return DiniClass.NON_DINI
         i += 1
-    if increment < tol:
+    if increment < _DINI_CONVERGED_INCREMENT:
         return DiniClass.DINI
     return DiniClass.INCONCLUSIVE
 
@@ -235,13 +239,13 @@ class SmoothedModulus:
             out.append((j2 - j1) / (x * LN2 * LN2))
         return np.array(out)
 
-    def derivative_sup(self, a: float, b: float, n: int = 65) -> float:
-        """max of theta_tilde' over [a, b] via a geometric sample grid.
+    def derivative_sup(self, a: float, b: float) -> float:
+        """max of theta_tilde' over [a, b] via a 65-point geometric sample grid.
 
         Builtin derivatives are monotone in r, so the endpoint values are
         already exact; the grid guards the tabulated kind.
         """
-        rs = np.geomspace(a, b, n)
+        rs = np.geomspace(a, b, 65)
         return float(self.derivative_vec(rs).max())
 
     # -- tabulated kind: exact inner integral, adaptive outer ----------------

@@ -230,6 +230,12 @@ class TangentProfile:
     def c_prime(self) -> float:
         return self.c * math.fsum(self.a)
 
+    @property
+    def saturation(self) -> float:
+        """Point from which f == c': the last jump, plus x_star in c1 mode."""
+        rise = self.bridge.x_star if self.mode == MODE_C1 else 0.0
+        return float(max(self.x)) + rise
+
     def delta(self, k: int) -> float:
         """Distance from x_k to the other jump points and to 0."""
         xk = self.x[k]

@@ -8,7 +8,7 @@ planner serve all of them:
   Gauss-Legendre value per cell and `gauss_cells` their sum over an edge list;
   `graded_edges` refines cells geometrically toward a known singularity and
   `merge_edges` unions edge sets;
-* `gauss_graded`, the certified form of that rule: orders n and n + 8 must
+* `gauss_graded`, the certified form of that rule: orders 15 and 23 must
   agree within the tolerance, every cell is halved between rounds, and the
   measured error is raised as QuadratureError when the rounds run out;
 * `integrate_power_endpoint`, the rule after the flattening substitution that
@@ -110,19 +110,19 @@ def merge_edges(*edge_sets) -> np.ndarray:
     return np.unique(np.concatenate([np.asarray(e, dtype=float) for e in edge_sets]))
 
 
-def gauss_graded(fn, edges, tol: float, n: int = 15, max_rounds: int = 3):
+def gauss_graded(fn, edges, tol: float, max_rounds: int = 3):
     """Certified Gauss-cell integration over a prescribed edge list.
 
-    Orders n and n + 8 must agree within tol (absolute or relative, whichever
+    Orders 15 and 23 must agree within tol (absolute or relative, whichever
     is looser); otherwise every cell is halved and the comparison repeated.
-    Returns the order n + 8 value; after max_rounds failed rounds raises
+    Returns the order-23 value; after max_rounds failed rounds raises
     QuadratureError carrying the last measured error.
     """
     edges = np.asarray(edges, dtype=float)
     err = math.inf
     for _ in range(max_rounds):
-        v1 = gauss_cells(fn, edges, n)
-        v2 = gauss_cells(fn, edges, n + 8)
+        v1 = gauss_cells(fn, edges, 15)
+        v2 = gauss_cells(fn, edges, 23)
         err = abs(v1 - v2)
         if err <= max(tol, tol * abs(v2)):
             return v2
@@ -219,6 +219,7 @@ _WG = np.array([
     0.129484966168870,
 ])
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
+_GK_MAX_SPLITS = 400
 
 
 def _gk15(fn, a: float, b: float):
@@ -230,10 +231,10 @@ def _gk15(fn, a: float, b: float):
     return ik, abs(ik - ig)
 
 
-def quad_complex(fn, a: float, b: float, tol: float = 1e-12, limit: int = 400):
+def quad_complex(fn, a: float, b: float, tol: float = 1e-12):
     """Adaptive Gauss-Kronrod integration of a scalar (possibly complex) fn.
 
-    Returns (value, error_estimate); raises QuadratureError past `limit`
+    Returns (value, error_estimate); raises QuadratureError past 400
     subdivisions. Interval endpoints are never evaluated exactly unless they
     coincide with a Kronrod node image, so mild endpoint singularities that are
     merely large (not NaN) integrate cleanly.
@@ -245,7 +246,7 @@ def quad_complex(fn, a: float, b: float, tol: float = 1e-12, limit: int = 400):
     total = val
     total_err = err
     splits = 0
-    while total_err > max(tol, tol * abs(total)) and splits < limit:
+    while total_err > max(tol, tol * abs(total)) and splits < _GK_MAX_SPLITS:
         neg, lo, hi, v, e = heapq.heappop(heap)
         m = 0.5 * (lo + hi)
         v1, e1 = _gk15(fn, lo, m)
@@ -261,9 +262,10 @@ def quad_complex(fn, a: float, b: float, tol: float = 1e-12, limit: int = 400):
     return total, total_err
 
 
-def quad_scalar(fn, a, b, tol: float = 1e-10, limit: int = 300) -> float:
-    """scipy.integrate.quad with the error estimate promoted to an exception."""
-    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=limit)
+def quad_scalar(fn, a, b, tol: float = 1e-10) -> float:
+    """scipy.integrate.quad (at most 300 subintervals) with the error estimate
+    promoted to an exception."""
+    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=300)
     if err > 100.0 * max(tol, tol * abs(y)) + 1e-15:
         raise QuadratureError(f"quad error estimate {err:.3e} exceeds tol {tol:.3e}")
     return y

@@ -20,6 +20,8 @@ REMOVED = (
     # duplicates of the quadrature layer and of BoundaryTrace.flat
     "gauss_graded_edges", "_cells_batch", "_product_plan", "_halve_cells",
     "_merge_edges", "_flat_trace",
+    # second forms of -inf, of interior points and of the evaluator argument
+    "NEG_INF", "is_neg_inf", "_NegInfinity", "UpperHalfPoint", "_as_harm_opt",
 )
 
 
@@ -40,10 +42,17 @@ def test_removed_names_stay_removed(module):
 def test_removed_settings_stay_removed():
     from nondini.cli import RunConfig
     from nondini.conformal import BoundaryTrace
-    from nondini.halfplane import HarmonicEvaluator
-    from nondini.hilbert import HilbertEvaluator
+    from nondini.halfplane import HarmonicEvaluator, poisson_of_kf_oracle
+    from nondini.hilbert import HilbertEvaluator, KHtildeTable
+    from nondini.measure import _nearest_on_segments
+    from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
-    from nondini.quadrature import integrate_power_endpoint, quad_scalar
+    from nondini.quadrature import (
+        gauss_graded,
+        integrate_power_endpoint,
+        quad_complex,
+        quad_scalar,
+    )
 
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -59,3 +68,12 @@ def test_removed_settings_stay_removed():
                                | params(HilbertEvaluator.k_htilde_vec))
     assert "points" not in params(quad_scalar)
     assert not {"tol", "n"} & params(integrate_power_endpoint)
+    # settings no caller changed are constants now
+    assert params(KHtildeTable.build) == {"ev"}
+    assert "limit" not in params(quad_complex) | params(quad_scalar)
+    assert "n" not in params(gauss_graded)
+    assert params(classify_dini) == {"spec"}
+    assert "n" not in params(SmoothedModulus.derivative_sup)
+    assert "half_width" not in params(poisson_of_kf_oracle)
+    assert "chunk" not in params(_nearest_on_segments)
+    assert not hasattr(HarmonicEvaluator, "boundary_arg")

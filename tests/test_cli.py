@@ -238,3 +238,29 @@ def test_appendix_check_dyadic_placement(tmp_path):
     case = rep["cases"][0]
     assert case["bound_ok"] and case["left_bound_ok"]
     assert case["fitted_slope"] == pytest.approx(1.0, abs=5e-3)
+
+
+def test_list_parse_errors_name_their_flag(tmp_path, capsys):
+    assert run_cli("--out", str(tmp_path / "a"), "appendix-check",
+                   "--b", "0.1,x") == 1
+    assert "could not parse --b '0.1,x'" in capsys.readouterr().err
+    assert run_cli("--out", str(tmp_path / "d"), "density",
+                   "--centers", "0.5,y") == 1
+    assert "could not parse --centers '0.5,y'" in capsys.readouterr().err
+
+
+def test_dyadic_ladders_need_two_rungs(tmp_path, capsys):
+    assert run_cli("--out", str(tmp_path / "a"), "appendix-check",
+                   "--eps-min", "0.05", "--eps-max", "0.0625") == 1
+    assert "need at least two window sizes" in capsys.readouterr().err
+    assert run_cli("--out", str(tmp_path / "d"), "density", "--centers", "0.5",
+                   "--r-min", "0.01", "--r-max", "0.015") == 1
+    assert ("need at least two dyadic radii between r_min and r_max"
+            in capsys.readouterr().err)
+    # bounds from which halving never ends are rejected, not looped on
+    assert run_cli("--out", str(tmp_path / "a"), "appendix-check",
+                   "--eps-min", "0") == 1
+    assert "window sizes need finite, positive bounds" in capsys.readouterr().err
+    assert run_cli("--out", str(tmp_path / "d"), "density", "--centers", "0.5",
+                   "--r-max", "inf") == 1
+    assert "need finite, positive bounds" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini.hilbert import HilbertEvaluator
 from nondini.halfplane import (
     HarmonicEvaluator,
-    UpperHalfPoint,
     herglotz_transform,
     poisson_kernel,
     poisson_of_kf_oracle,
@@ -62,20 +61,16 @@ def test_poisson_kernel_vectorized():
     assert np.allclose(out, [2.0 / 5.0 / PI, 1.0 / 2.0 / PI, 2.0 / 8.0 / PI])
 
 
-def test_upper_half_point_validation():
+def test_upper_half_point_validation(harm_lip):
+    # interior points are complex numbers with Im z > 0
+    for z in (complex(0.0, 0.0), complex(0.3, -1.0)):
+        for fn in (harm_lip.V, harm_lip.W):
+            with pytest.raises(ValueError):
+                fn(z)
     with pytest.raises(ValueError):
-        UpperHalfPoint(0.0, 0.0)
-    with pytest.raises(ValueError):
-        UpperHalfPoint(0.0, -1.0)
-    z = UpperHalfPoint(3.0, 4.0)
-    assert z.as_complex() == 3.0 + 4.0j
-
-
-def test_delta0_distance_to_jump_set(harm_lip):
-    p = harm_lip.profile
-    z = UpperHalfPoint(0.5, 0.25)
-    expect = min(math.hypot(0.5 - xk, 0.25) for xk in p.x)
-    assert z.delta0(p) == pytest.approx(expect, rel=1e-15)
+        harm_lip.G(complex(0.3, -1.0))
+    # a real point (Im z = 0) is a boundary point: G gives its boundary value
+    assert harm_lip.G(complex(0.3, 0.0)) == harm_lip.boundary_G(0.3)
 
 
 # -- V: Poisson extension of f ---------------------------------------------------
@@ -153,11 +148,11 @@ def test_c1_W_diverges_at_jump_like_log(harm_c1):
 
 
 def test_extend_functions_match_evaluator(harm_c1):
-    z = UpperHalfPoint(0.3, 0.5)
-    a = herglotz_transform(harm_c1.profile, z.x, z.t)
+    z = complex(0.3, 0.5)
+    a = herglotz_transform(harm_c1.profile, z.real, z.imag)
     assert harm_c1.V(z) == pytest.approx(a.imag, abs=1e-12)
     assert harm_c1.W(z) == pytest.approx(-a.real, abs=1e-12)
-    assert harm_c1.V(z.as_complex()) == harm_c1.V(z)
+    assert harm_c1.V(z) == harm_c1.g_exponent(z).imag
     with pytest.raises(ValueError):
         harm_c1.W(complex(0.3, -0.5))
 
@@ -211,7 +206,10 @@ def test_boundary_G_singular_sentinel(harm_c1):
     x1 = float(harm_c1.profile.x[0])
     g = harm_c1.boundary_G(x1)
     assert abs(g) == math.inf
-    assert harm_c1.boundary_arg(x1) == pytest.approx(harm_c1.profile.f(x1))
+    # the components still point along the tangent angle f(x1)
+    theta = harm_c1.profile.f(x1)
+    assert (math.copysign(1.0, g.real), math.copysign(1.0, g.imag)) == (
+        math.copysign(1.0, math.cos(theta)), math.copysign(1.0, math.sin(theta)))
 
 
 def test_cauchy_riemann_finite_difference(harm_c1):

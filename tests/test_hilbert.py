@@ -9,9 +9,7 @@ from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini.hilbert import (
     HilbertEvaluator,
     K_heaviside,
-    NEG_INF,
     decay_bounds,
-    is_neg_inf,
     pv_log_integral,
     pv_quadrature_oracle,
     region_bracket,
@@ -61,7 +59,7 @@ def test_pv_log_integral_diverges_approaching_endpoint():
 
 
 def test_k_heaviside():
-    assert is_neg_inf(K_heaviside(0.0))
+    assert K_heaviside(0.0) == -math.inf
     assert K_heaviside(2.0) == pytest.approx(math.log(2.0) / PI, rel=1e-15)
     assert K_heaviside(-0.5) == pytest.approx(-math.log(2.0) / PI, rel=1e-15)
 
@@ -118,7 +116,7 @@ def test_k_profile_matches_oracle_c1(ev_c1):
 # -- K Htilde: sentinel, side limits, brackets ----------------------------------
 
 def test_k_htilde_sentinel_and_regions(ev_c1):
-    assert is_neg_inf(ev_c1.k_htilde(0.0))
+    assert ev_c1.k_htilde(0.0) == -math.inf
     # spec'd sample brackets (x_star <= 1/2 makes the 1/2 forms valid)
     sm = ev_c1.sm
     f0 = sm.value(sm.x0)
@@ -213,7 +211,7 @@ def test_k_profile_sentinel_at_jumps(ev_lip, ev_c1):
         p = ev.profile
         for k in (0, 3, p.K - 1):
             val, reg = ev.k_profile(p.x[k])
-            assert is_neg_inf(val)
+            assert val == -math.inf
             if p.mode == MODE_LIPSCHITZ:
                 expect = p.c * math.fsum(
                     p.a[j] * math.log(abs(p.x[k] - p.x[j])) / PI
@@ -223,6 +221,15 @@ def test_k_profile_sentinel_at_jumps(ev_lip, ev_c1):
                     p.a[j] * ev.k_htilde(p.x[k] - p.x[j])
                     for j in range(p.K) if j != k)
             assert reg == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_one_neg_inf_convention(ev_c1):
+    # scalar, vector and bracket paths all write Kf = -infinity as IEEE -inf
+    xk = ev_c1.profile.x[0]
+    assert ev_c1.k_profile(xk)[0] == -math.inf
+    assert ev_c1.kf_vec([xk])[0] == -math.inf
+    assert K_heaviside(0.0) == -math.inf
+    assert region_bracket(ev_c1, ev_c1.bridge.x0)[0] == -math.inf
 
 
 def test_regular_part_bound_lipschitz(ev_lip):

@@ -82,7 +82,7 @@ def test_classify_builtins():
 def test_classify_tabulated():
     # fast-decaying tabulated modulus: dyadic increments drop below tol
     grid = tuple((float(r), float(r)) for r in np.geomspace(1e-12, 0.99, 200))
-    assert classify_dini(ModulusSpec("tabulated", grid=grid), tol=1e-8) is DiniClass.DINI
+    assert classify_dini(ModulusSpec("tabulated", grid=grid)) is DiniClass.DINI
     # constant-sampled modulus: partial sums blow through the threshold
     grid = tuple((float(r), 0.5) for r in np.geomspace(1e-40, 0.99, 200))
     assert classify_dini(ModulusSpec("tabulated", grid=grid)) is DiniClass.NON_DINI
