@@ -49,7 +49,13 @@ from .measure import (
     wos_harmonic_measure,
 )
 from .modulus import ModulusSpec, SmoothedModulus
-from .profile import MODE_C1, MODE_LIPSCHITZ, build_bridge, build_profile
+from .profile import (
+    MODE_C1,
+    MODE_LIPSCHITZ,
+    build_bridge,
+    build_profile,
+    jump_amplitudes,
+)
 
 PI = math.pi
 
@@ -86,12 +92,19 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.K < 1:
             raise ValueError("need at least one jump")
+        jump_amplitudes(self.amplitude_rule, self.K)
+        self.modulus_spec  # a bad theta section raises here
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if not self.x_lo < 0.0 < self.x_hi:
             raise ValueError("trace window must straddle 0")
         if self.base_n < 2:
             raise ValueError("base_n must be at least 2")
+
+    @property
+    def modulus_spec(self) -> ModulusSpec:
+        return ModulusSpec(kind=self.theta_kind, c=self.theta_c,
+                           gamma=self.theta_gamma)
 
 
 _SCHEMA = {
@@ -189,7 +202,7 @@ DEFAULT_CONFIG = RunConfig()
 
 
 def build_evaluator(cfg: RunConfig) -> HilbertEvaluator:
-    spec = ModulusSpec(kind=cfg.theta_kind, c=cfg.theta_c, gamma=cfg.theta_gamma)
+    spec = cfg.modulus_spec
     if cfg.mode == MODE_C1:
         sm = SmoothedModulus(spec).selected(beta=cfg.beta)
         profile = build_profile(MODE_C1, sm=sm, bridge=build_bridge(sm),
@@ -244,7 +257,7 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 
 def _checks_modulus(cfg: RunConfig):
-    spec = ModulusSpec(kind=cfg.theta_kind, c=cfg.theta_c, gamma=cfg.theta_gamma)
+    spec = cfg.modulus_spec
     sm = SmoothedModulus(spec)
     hi = sm.domain_hi * (1.0 - 1e-9)
     rs = np.exp(np.linspace(math.log(1e-6), math.log(hi), 50))

@@ -6,9 +6,15 @@ G is analytic and zero-free in the open upper half plane with |arg G| <= c'
 On the real axis G has continuous boundary values exp(-Kf(x) + i f(x)) away
 from the jump set; at a jump x_k the modulus blows up like |x - x_k|^(-p) with
 p = c a_k / pi < 1/2, an integrable power, so Phi extends continuously to the
-closed half plane. Boundary cells that touch a jump are integrated after the
-flattening substitution sigma = s^(1/(1-p)); everything else uses fixed-order
-Gauss cells (boundary) or adaptive Gauss-Kronrod (interior paths).
+closed half plane.
+
+Interior path segments use adaptive Gauss-Kronrod on G. Along the real line
+there is one rule: the singular-split planner cuts the run at the jumps, the
+pieces that end at a jump are integrated after the flattening substitution
+sigma = s^(1/(1-p)), and the others on fixed-order Gauss cells. A path that
+ends at a jump should therefore end with a boundary run; an interior segment
+that ends at a jump gets no flattening. trace_boundary telescopes the same
+boundary values over a dyadically refined grid.
 """
 
 from __future__ import annotations
@@ -28,9 +34,7 @@ from .quadrature import (
     gauss_cell_values,
     gauss_cells,
     gauss_rule,
-    graded_edges,
     integrate_power_endpoint,
-    merge_edges,
     quad_complex,
     split_plan,
 )
@@ -64,13 +68,14 @@ def _text_sink(path_or_buf):
 class PathSpec:
     """Polyline from waypoints[0] to waypoints[-1] in the closed half plane.
 
-    rules[i] describes segment i: None for a regular segment, or the exponent
-    p in [0, 1) of an |z - end|^(-p) singularity sitting at that segment's end
-    point (which must be the only boundary contact of the segment).
+    A segment with both ends on the real line is a boundary run: it is cut at
+    the jumps, and the pieces that end at a jump are flattened. Every other
+    segment is integrated with adaptive Gauss-Kronrod and gets no flattening,
+    so a path to a jump x_k should reach it along the boundary, as in
+    (i, x_k + h, x_k).
     """
 
     waypoints: tuple[complex, ...]
-    rules: tuple[float | None, ...] = ()
 
     def __post_init__(self):
         wps = tuple(complex(w) for w in self.waypoints)
@@ -81,21 +86,6 @@ class PathSpec:
             raise ValueError("consecutive waypoints must be distinct")
         if any(w.imag < 0.0 for w in wps):
             raise ValueError("path must stay in the closed upper half plane")
-        rules = tuple(self.rules) if self.rules else (None,) * (len(wps) - 1)
-        object.__setattr__(self, "rules", rules)
-        if len(rules) != len(wps) - 1:
-            raise ValueError("need one rule per segment")
-        for (w1, w2), p in zip(zip(wps, wps[1:]), rules):
-            if p is None:
-                continue
-            if not 0.0 <= p < 1.0:
-                raise ValueError("singular exponent must lie in [0, 1)")
-            if w2.imag != 0.0 or w1.imag <= 0.0:
-                raise ValueError("an endpoint-singular segment must touch the "
-                                 "boundary at its end point only")
-
-    def segments(self):
-        return list(zip(self.waypoints, self.waypoints[1:], self.rules))
 
 
 def _singular_exponent(p: TangentProfile, x: float) -> float | None:
@@ -107,6 +97,7 @@ def _singular_exponent(p: TangentProfile, x: float) -> float | None:
 
 
 def _boundary_g(ev: HilbertEvaluator):
+    """Boundary values G(x) = exp(-Kf(x) + i f(x)), vectorized."""
     p = ev.profile
 
     def fn(ys):
@@ -116,46 +107,65 @@ def _boundary_g(ev: HilbertEvaluator):
     return fn
 
 
+def _boundary_abs_dphi(ev: HilbertEvaluator):
+    """Boundary values |Phi'(x)| = |G(x)| = exp(-Kf(x)), vectorized."""
+
+    def fn(ys):
+        with np.errstate(divide="ignore"):
+            return np.exp(-ev.kf_vec(ys))
+
+    return fn
+
+
+def _split_singular(p: TangentProfile, a: float, b: float):
+    """split_plan of [a, b] with the |y - x_k|^(-c a_k / pi) jump singularities."""
+    return split_plan(a, b, p.x, [p.c * ak / PI for ak in p.a])
+
+
+def _integrate_split(fn, plan, cells: int = 4):
+    """Sum fn over a split_plan, flattening singular edges.
+
+    Pieces with no singular end get `cells` equal 23-point Gauss cells.
+    """
+    total = 0.0 + 0.0j
+    for lo, hi, pexp, side in plan:
+        if pexp is None:
+            total += complex(gauss_cells(fn, np.linspace(lo, hi, cells + 1), 23))
+        else:
+            total += complex(integrate_power_endpoint(fn, lo, hi, pexp,
+                                                      side=side))
+    return total
+
+
+def _boundary_integral(ev: HilbertEvaluator, x1: float, x2: float) -> complex:
+    """int_{x1}^{x2} G along the real line, split at the jumps and flattened."""
+    lo, hi = (x1, x2) if x2 > x1 else (x2, x1)
+    val = _integrate_split(_boundary_g(ev), _split_singular(ev.profile, lo, hi))
+    return val if x2 > x1 else -val
+
+
 def _auto_path(p: TangentProfile, z: complex) -> PathSpec:
-    if z.imag == 0.0:
-        pexp = _singular_exponent(p, z.real)
-        if pexp is not None:
-            k = p.x.index(z.real)
-            height = min(1.0, 0.5 * p.delta(k))
-            mid = complex(z.real, height)
-            if mid == BASE_POINT:
-                return PathSpec((BASE_POINT, z), (pexp,))
-            return PathSpec((BASE_POINT, mid, z), (None, pexp))
-        if z.real == 0.0 and p.mode != MODE_LIPSCHITZ:
-            # continuous here, but approach vertically as for the jumps
-            height = min(1.0, 0.5 * min(abs(xk) for xk in p.x))
-            return PathSpec((BASE_POINT, complex(0.0, height), z), (None, 0.0))
-    return PathSpec((BASE_POINT, z))
+    """Straight from i; a jump, or 0 in c1 mode, is reached along the boundary.
+
+    The boundary run starts at x + h, with h half the distance to the nearest
+    other jump (or to 0) for a jump, and half the distance to the nearest jump
+    for 0, both capped at 1; x + h is a regular point.
+    """
+    x = z.real
+    if z.imag == 0.0 and x in p.x:
+        h = min(1.0, 0.5 * p.delta(p.x.index(x)))
+    elif z.imag == 0.0 and x == 0.0 and p.mode != MODE_LIPSCHITZ:
+        h = min(1.0, 0.5 * min(abs(xk) for xk in p.x))
+    else:
+        return PathSpec((BASE_POINT, z))
+    return PathSpec((BASE_POINT, complex(x + h), z))
 
 
 def _segment_integral(harm: HarmonicEvaluator, z1: complex, z2: complex,
-                      rule: float | None, tol: float) -> complex:
-    ev = harm.ev
+                      tol: float) -> complex:
     if z1.imag == 0.0 and z2.imag == 0.0:
-        # boundary run: vectorized boundary values of G
-        fn = _boundary_g(ev)
-        a, b = sorted((z1.real, z2.real))
-        sign = 1.0 if z2.real > z1.real else -1.0
-        inner = [xk for xk in ev.profile.x if a < xk < b]
-        if inner:
-            edges = merge_edges(*[graded_edges(a, b, xk, (b - a) * 1e-13)
-                                  for xk in inner])
-            return sign * gauss_cells(fn, edges, 23)
-        return sign * gauss_cells(fn, np.linspace(a, b, 9), 23)
-
+        return _boundary_integral(harm.ev, z1.real, z2.real)
     dz = z2 - z1
-    if rule is not None:
-        def gseg(ss):
-            ss = np.atleast_1d(np.asarray(ss, dtype=float))
-            return np.array([harm.G(z1 + s * dz) for s in ss])
-
-        return integrate_power_endpoint(gseg, 0.0, 1.0, rule, side="b") * dz
-
     val, _ = quad_complex(lambda s: harm.G(z1 + s * dz), 0.0, 1.0, tol=tol)
     return val * dz
 
@@ -164,9 +174,12 @@ def integrate_phi(ev, z: complex, path: PathSpec | None = None,
                   tol: float = 1e-9) -> complex:
     """Phi(z) = int_{path} G with Phi(i) = 0; auto path if none is given.
 
-    The auto path is the straight segment from i (singular boundary targets
-    get a vertical final approach with the flattened power rule, exponent
-    c a_k / pi < 1/2, so the integral converges).
+    The auto path is the straight segment from i. A jump x_k, or 0 in c1 mode,
+    is reached along the boundary instead: straight to the regular point
+    x + h, then a boundary run to x on which the planner flattens the
+    |x - x_k|^(-c a_k / pi) singularity. A given path that ends at a jump
+    should end with such a boundary run; an interior segment that ends at a
+    jump gets no flattening.
     """
     harm = _as_harmonic(ev)
     z = complex(z)
@@ -181,8 +194,9 @@ def integrate_phi(ev, z: complex, path: PathSpec | None = None,
     if path.waypoints[-1] != z:
         raise ValueError("path does not end at z")
     total = 0.0 + 0.0j
-    for z1, z2, rule in path.segments():
-        total += _segment_integral(harm, z1, z2, rule, tol)
+    wps = path.waypoints
+    for z1, z2 in zip(wps, wps[1:]):
+        total += _segment_integral(harm, z1, z2, tol)
     return total
 
 
@@ -404,7 +418,7 @@ def growth_check(ev, radii, n_angles: int = 5, tol: float = 1e-8) -> GrowthRepor
         log_phi[0, i_a] = math.log(abs(phi))
         for i_r, r in enumerate(radii[1:], start=1):
             z_next = r * u
-            phi += _segment_integral(harm, z_prev, z_next, None, tol)
+            phi += _segment_integral(harm, z_prev, z_next, tol)
             log_phi[i_r, i_a] = math.log(abs(phi))
             z_prev = z_next
     prods = np.exp(log_phi) * (np.asarray(radii)[:, None] ** (cp / PI - 1.0))
@@ -413,26 +427,6 @@ def growth_check(ev, radii, n_angles: int = 5, tol: float = 1e-8) -> GrowthRepor
                         min_products=tuple(prods.min(axis=1)),
                         fitted_exponent=slope,
                         target_exponent=1.0 - cp / PI)
-
-
-def _split_singular(p: TangentProfile, a: float, b: float):
-    """split_plan of [a, b] with the |y - x_k|^(-c a_k / pi) jump singularities."""
-    return split_plan(a, b, p.x, [p.c * ak / PI for ak in p.a])
-
-
-def _integrate_split(fn, plan, cells: int = 4):
-    """Sum fn over a split_plan, flattening singular edges.
-
-    Pieces with no singular end get `cells` equal 23-point Gauss cells.
-    """
-    total = 0.0 + 0.0j
-    for lo, hi, pexp, side in plan:
-        if pexp is None:
-            total += complex(gauss_cells(fn, np.linspace(lo, hi, cells + 1), 23))
-        else:
-            total += complex(integrate_power_endpoint(fn, lo, hi, pexp,
-                                                      side=side))
-    return total
 
 
 def secant_tangent(ev: HilbertEvaluator, x: float,
@@ -451,20 +445,15 @@ def secant_tangent(ev: HilbertEvaluator, x: float,
         raise ValueError("eps_list must contain positive values")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    pexp = _singular_exponent(p, x)
-    if pexp is not None:
-        k = p.x.index(x)
-        if max(eps) > 0.5 * p.delta(k):
-            raise ValueError("eps_list must stay within half the local gap")
-    gfn = _boundary_g(ev)
-    asc = sorted(eps)
+    if x in p.x and max(eps) > 0.5 * p.delta(p.x.index(x)):
+        raise ValueError("eps_list must stay within half the local gap")
     diffs = {}
-    acc = _integrate_split(gfn, _split_singular(p, x, x + asc[0]))
-    diffs[asc[0]] = acc
-    for e_prev, e_next in zip(asc, asc[1:]):
-        acc += _integrate_split(gfn, _split_singular(p, x + e_prev,
-                                                     x + e_next))
-        diffs[e_next] = acc
+    acc = 0.0 + 0.0j
+    x_prev = x
+    for e in sorted(eps):
+        acc += _boundary_integral(ev, x_prev, x + e)
+        diffs[e] = acc
+        x_prev = x + e
     return [(abs(diffs[e] / e), cmath.phase(diffs[e] / e)) for e in eps]
 
 
@@ -473,10 +462,6 @@ def average_derivative(ev: HilbertEvaluator, x: float, a: float,
     """A(a, b) = (1/(a+b)) int_{x-a}^{x+b} |Phi'|; blows up at jump points."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("need positive window sides")
-
-    def fn(ys):
-        with np.errstate(divide="ignore"):
-            return np.exp(-ev.kf_vec(ys))
-
-    total = _integrate_split(fn, _split_singular(ev.profile, x - a, x + b))
+    total = _integrate_split(_boundary_abs_dphi(ev),
+                             _split_singular(ev.profile, x - a, x + b))
     return float(total.real) / (a + b)

@@ -36,7 +36,8 @@ import numpy as np
 
 from .conformal import (
     BoundaryTrace,
-    _boundary_g,
+    _boundary_abs_dphi,
+    _boundary_integral,
     _integrate_split,
     _split_singular,
     _text_sink,
@@ -93,9 +94,7 @@ def _phi_from(ev, ax: float, aphi: complex, x: float) -> complex:
     """Phi(x) from the anchor value aphi = Phi(ax), along the boundary."""
     if ev is None:
         return aphi + (x - ax)
-    lo, hi = (ax, x) if x > ax else (x, ax)
-    inc = _integrate_split(_boundary_g(ev), _split_singular(ev.profile, lo, hi))
-    return aphi + inc if x > ax else aphi - inc
+    return aphi + _boundary_integral(ev, ax, x)
 
 
 def _phi_on_boundary(trace: BoundaryTrace, ev, x: float) -> complex:
@@ -187,12 +186,8 @@ def measure_ratio(trace: BoundaryTrace, ev, x_center: float,
     if ev is None:
         length = omega
     else:
-        def fn(ys):
-            with np.errstate(divide="ignore"):
-                return np.exp(-ev.kf_vec(ys))
-
-        length = _integrate_split(fn, _split_singular(ev.profile,
-                                                      x_lo, x_hi)).real
+        length = _integrate_split(_boundary_abs_dphi(ev),
+                                  _split_singular(ev.profile, x_lo, x_hi)).real
     return BallRatio(float(omega), float(length), float(omega / length),
                      float(x_lo), float(x_hi))
 

@@ -20,6 +20,7 @@ __all__ = [
     "BridgeSpline",
     "TangentProfile",
     "build_bridge",
+    "jump_amplitudes",
     "modulus_at_origin",
     "build_profile",
 ]
@@ -271,6 +272,15 @@ class TangentProfile:
         return self.c * out
 
 
+def jump_amplitudes(rule: str, n: int) -> tuple[float, ...]:
+    """a_1..a_n under a named rule: "geometric" (a_k = 2^-k) or "uniform" (1)."""
+    if rule == "geometric":
+        return tuple(2.0 ** -k for k in range(1, n + 1))
+    if rule == "uniform":
+        return (1.0,) * n
+    raise ValueError(f"unknown amplitude rule {rule!r}")
+
+
 def build_profile(mode: str,
                   sm: SmoothedModulus | None = None,
                   bridge: BridgeSpline | None = None,
@@ -285,12 +295,7 @@ def build_profile(mode: str,
     else:
         jumps = tuple(float(v) for v in jumps)
     if amps is None:
-        if amplitude_rule == "geometric":
-            amps = tuple(2.0 ** -k for k in range(1, len(jumps) + 1))
-        elif amplitude_rule == "uniform":
-            amps = tuple(1.0 for _ in jumps)
-        else:
-            raise ValueError(f"unknown amplitude rule {amplitude_rule!r}")
+        amps = jump_amplitudes(amplitude_rule, len(jumps))
     else:
         amps = tuple(float(v) for v in amps)
     c = c_prime_target / math.fsum(amps)

@@ -147,22 +147,16 @@ def integrate_power_endpoint(fn, a, b, p, side: str):
     q = 1.0 / (1.0 - p)
     length = b - a
     smax = length ** (1.0 - p)
+    end, sign = (a, 1.0) if side == "a" else (b, -1.0)
 
     # Nodes whose image rounds onto an endpoint would evaluate fn at the
     # singularity; their flattened contribution is O(sig_min) of the total,
     # so they are zeroed instead (fn is never called there).
-    if side == "a":
-        def g(sig):
-            x = np.asarray(a + sig ** q)
-            col = ~((x > a) & (x < b))
-            vals = np.asarray(fn(np.where(col, 0.5 * (a + b), x)))
-            return np.where(col, 0.0, vals * (q * sig ** (q - 1.0)))
-    else:
-        def g(sig):
-            x = np.asarray(b - sig ** q)
-            col = ~((x > a) & (x < b))
-            vals = np.asarray(fn(np.where(col, 0.5 * (a + b), x)))
-            return np.where(col, 0.0, vals * (q * sig ** (q - 1.0)))
+    def g(sig):
+        x = np.asarray(end + sign * sig ** q)
+        col = ~((x > a) & (x < b))
+        vals = np.asarray(fn(np.where(col, 0.5 * (a + b), x)))
+        return np.where(col, 0.0, vals * (q * sig ** (q - 1.0)))
 
     return gauss_cells(g, graded_edges(0.0, smax, 0.0, smax * 1e-12), 15)
 

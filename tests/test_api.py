@@ -41,7 +41,7 @@ def test_removed_names_stay_removed(module):
 
 def test_removed_settings_stay_removed():
     from nondini.cli import RunConfig
-    from nondini.conformal import BoundaryTrace
+    from nondini.conformal import BoundaryTrace, PathSpec, _segment_integral
     from nondini.halfplane import HarmonicEvaluator, poisson_of_kf_oracle
     from nondini.hilbert import HilbertEvaluator, KHtildeTable
     from nondini.measure import _nearest_on_segments
@@ -63,6 +63,10 @@ def test_removed_settings_stay_removed():
     assert "tail_tol" not in fields(RunConfig) | fields(TangentProfile)
     assert "tail_tol" not in params(build_profile)
     assert "level" not in fields(BoundaryTrace)
+    # a path reaches a jump along the boundary, not by a per-segment rule
+    assert "rules" not in fields(PathSpec)
+    assert not hasattr(PathSpec, "segments")
+    assert "rule" not in params(_segment_integral)
     assert "use_cache" not in fields(HarmonicEvaluator)
     assert "use_table" not in (params(HilbertEvaluator.kf_vec)
                                | params(HilbertEvaluator.k_htilde_vec))

@@ -74,6 +74,24 @@ def test_config_validation():
         RunConfig(mode="linear")
 
 
+def test_config_rejects_values_no_command_reads(tmp_path, capsys):
+    # theta is checked by ModulusSpec and the rule name by the amplitude rules
+    # when the config is parsed, even for commands that never read them
+    with pytest.raises(ValueError, match="unknown amplitude rule 'bogus'"):
+        parse_config({"amplitude_rule": "bogus"})
+    with pytest.raises(ValueError, match="unknown modulus kind 'nope'"):
+        parse_config({"theta": {"kind": "nope"}})
+    with pytest.raises(ValueError, match="gamma > 0"):
+        parse_config({"theta": {"kind": "power", "gamma": -1.0}})
+    assert parse_config({"amplitude_rule": "uniform"}).amplitude_rule == "uniform"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"amplitude_rule": "bogus",
+                                "theta": {"kind": "nope"}}))
+    assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
+                   "appendix-check") == 1
+    assert "amplitude rule" in capsys.readouterr().err
+
+
 def test_partial_config_uses_defaults():
     cfg = parse_config({"mode": "lipschitz", "K": 3})
     assert cfg.mode == "lipschitz"

@@ -69,15 +69,9 @@ def test_path_spec_validation():
         PathSpec((1j, 1j))
     with pytest.raises(ValueError):
         PathSpec((1j, 1.0 - 0.5j))
-    with pytest.raises(ValueError):
-        PathSpec((1j, 1.0 + 1j), rules=(0.25, 0.25))
-    # singular rule needs exponent in [0, 1) and a boundary endpoint
-    with pytest.raises(ValueError):
-        PathSpec((1j, 1.0 + 0j), rules=(1.2,))
-    with pytest.raises(ValueError):
-        PathSpec((1j, 1.0 + 1j), rules=(0.25,))
-    spec = PathSpec((1j, 0.5 + 1j, 0.5 + 0j), rules=(None, 0.25))
-    assert len(spec.segments()) == 2
+    spec = PathSpec((1j, 0.5 + 1j, 0.5))
+    assert spec.waypoints == (1j, 0.5 + 1j, 0.5 + 0j)
+    assert all(isinstance(w, complex) for w in spec.waypoints)
 
 
 def test_phi_vanishes_at_base_point(ev_wedge, ev_c1):
@@ -113,9 +107,34 @@ def test_wedge_boundary_closed_form(ev_wedge):
 
 
 def test_wedge_phi_at_vertex(ev_wedge):
-    # z = 0 exercises the flattened singular approach (exponent c/pi)
+    # z = 0 is reached along the boundary from 1, where the split planner
+    # flattens the |x|^(-c/pi) singularity at the vertex
     got = integrate_phi(ev_wedge, 0j)
     assert abs(got - wedge_phi(0.9, 0.0)) < 1e-9
+
+
+def test_wedge_boundary_run_to_vertex(ev_wedge):
+    # a given path that ends with a boundary run is flattened at the jump too
+    got = integrate_phi(ev_wedge, 0j, path=PathSpec((BASE_POINT, 1 + 0j, 0j)))
+    assert abs(got - wedge_phi(0.9, 0.0)) < 1e-9
+    # a run that goes leftwards across the vertex carries the minus sign
+    back = integrate_phi(ev_wedge, -1 + 0j,
+                         path=PathSpec((BASE_POINT, 1 + 0j, -1 + 0j)))
+    assert abs(back - wedge_phi(0.9, -1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_phi_at_jump_matches_trace(ev_c1, trace_c1, k):
+    # the auto path reaches x_k along the boundary from x_k + delta_k / 2
+    xk = ev_c1.profile.x[k]
+    j = int(np.flatnonzero(trace_c1.x == xk)[0])
+    assert abs(integrate_phi(ev_c1, complex(xk)) - trace_c1.phi[j]) < 1e-8
+
+
+def test_phi_at_origin_matches_trace(ev_c1, trace_c1):
+    # 0, where the jumps accumulate, is reached along the boundary as well
+    j = int(np.flatnonzero(trace_c1.x == 0.0)[0])
+    assert abs(integrate_phi(ev_c1, 0j) - trace_c1.phi[j]) < 1e-8
 
 
 def test_derivative_consistency(ev_wedge):
