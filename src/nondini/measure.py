@@ -18,7 +18,13 @@ into a flagged report.
 wos_harmonic_measure estimates the same hitting probabilities with a
 walk-on-spheres sampler against the traced polyline (extended by its two
 straight tails), giving an oracle that is independent of the conformal
-machinery. appendix_product_integral verifies the integrability estimate
+machinery. Its nearest-boundary query tests the two tails against every
+walker and the polyline only in the blocks of 16 segments whose bounding
+circle can hold the nearest point; the result is bitwise equal to testing
+every segment, with ties toward the lowest segment index, so the sampler's
+hits do not depend on the search.
+
+appendix_product_integral verifies the integrability estimate
 int_{-eps}^{eps} prod_k |x - s_k|^{-b_k} dx <= C eps^{1 - sum b_k} that
 controls the boundary parametrization near the accumulation point.
 
@@ -45,9 +51,11 @@ from .conformal import (
 from .quadrature import split_plan
 
 PI = math.pi
-# walkers per distance evaluation in _nearest_on_segments (bounds the
-# walkers x segments work array)
-_WALKER_CHUNK = 8192
+# walkers per pass of the nearest-segment search (bounds the walkers x
+# candidate-segments work arrays)
+_WALKER_CHUNK = 1024
+# consecutive polyline segments per bounding circle of that search
+_B = 16
 
 
 # -- pointwise density -----------------------------------------------------------
@@ -326,7 +334,8 @@ def _extended_segments(trace: BoundaryTrace, far_radius: float):
     The tails continue the first and last trace segments for 4x the
     far-field radius, so every walker inside the far-field disk sees the
     full boundary. Ray points carry synthetic parameters offset by
-    Euclidean length, which keeps them outside every traced arc.
+    Euclidean length, which keeps them outside every traced arc. Segment 0
+    is the left ray, the last segment the right ray.
     """
     P = np.asarray(trace.phi)
     X = np.asarray(trace.x)
@@ -342,33 +351,101 @@ def _extended_segments(trace: BoundaryTrace, far_radius: float):
     return seg_s, seg_e, par_s, par_e
 
 
-def _nearest_on_segments(z: np.ndarray, seg_s: np.ndarray, seg_e: np.ndarray):
-    """(distance, segment index, parameter t) of the closest boundary point."""
+def _block_circles(seg_s: np.ndarray, seg_e: np.ndarray):
+    """(centres, radii) of circles around blocks of _B consecutive segments.
+
+    The blocks cover the segments between the first and the last, which are
+    the tail rays; block b holds segments 1 + _B b .. _B (b + 1), the last
+    block fewer. A centre is the middle of its block's bounding box, and a
+    radius reaches the farthest endpoint, inflated by 1e-12 (|c| + R). That
+    inflation exceeds the rounding of the distance formula by orders of
+    magnitude, so |z - c| - R is a lower bound on every computed distance
+    to the block.
+    """
+    m = seg_s.size - 2
+    nb = -(-m // _B)
+    j = np.minimum(1 + np.arange(nb * _B), m).reshape(nb, _B)
+    pts = np.concatenate([seg_s[j], seg_e[j]], axis=1)
+    c = (0.5 * (pts.real.min(axis=1) + pts.real.max(axis=1))
+         + 0.5j * (pts.imag.min(axis=1) + pts.imag.max(axis=1)))
+    r = np.abs(pts - c[:, None]).max(axis=1)
+    return c, r + 1e-12 * (np.abs(c) + r)
+
+
+def _segment_distance(zz, s, d, L2):
+    """(distance, clamped parameter t) from points zz to segments s + t d."""
+    w = zz - s
+    t = (w.real * d.real + w.imag * d.imag) / L2
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.abs(zz - (s + t * d)), t
+
+
+def _nearest_in_blocks(z, seg_s, seg_e, centres, radii):
+    """_nearest_on_segments with the block circles of _block_circles given."""
     n = z.size
+    m = seg_s.size - 2
     dist = np.empty(n)
     idx = np.empty(n, dtype=np.int64)
     ts = np.empty(n)
     d = seg_e - seg_s
     L2 = d.real * d.real + d.imag * d.imag
-    chunk = _WALKER_CHUNK
-    for i0 in range(0, n, chunk):
-        zz = z[i0:i0 + chunk, None]
-        w = zz - seg_s[None, :]
-        t = (w.real * d.real[None, :] + w.imag * d.imag[None, :]) / L2[None, :]
-        np.clip(t, 0.0, 1.0, out=t)
-        dd = np.abs(zz - (seg_s[None, :] + t * d[None, :]))
-        j = np.argmin(dd, axis=1)
-        rows = np.arange(j.size)
-        dist[i0:i0 + chunk] = dd[rows, j]
-        idx[i0:i0 + chunk] = j
-        ts[i0:i0 + chunk] = t[rows, j]
+    rays = np.array([0, m + 1])
+    lane = np.arange(_B)
+    for i0 in range(0, n, _WALKER_CHUNK):
+        zz = z[i0:i0 + _WALKER_CHUNK, None]
+        nc = zz.shape[0]
+        ray_d, ray_t = _segment_distance(zz, seg_s[rays], d[rays], L2[rays])
+        # u bounds the nearest distance from above, |z - c| - R every
+        # distance into a block from below
+        gap = np.abs(zz - centres)
+        u = np.minimum(ray_d.min(axis=1), (gap + radii).min(axis=1))
+        rows, blk = np.nonzero(gap - radii <= u[:, None] * (1.0 + 1e-12))
+        # candidate segments, row by row in ascending index; the short last
+        # block repeats segment m, which leaves the first minimum in place
+        seg = np.minimum(1 + _B * blk[:, None] + lane, m)
+        dd, t = _segment_distance(zz[rows], seg_s[seg], d[seg], L2[seg])
+        dd, t, seg = dd.ravel(), t.ravel(), seg.ravel()
+        row = np.repeat(rows, _B)
+        per_row = np.bincount(rows, minlength=nc)
+        has = per_row > 0
+        best = np.full(nc, np.inf)
+        start = _B * (np.cumsum(per_row) - per_row)
+        best[has] = np.minimum.reduceat(dd, start[has])
+        at = np.flatnonzero(dd == best[row])
+        at = at[np.diff(row[at], prepend=-1) != 0]
+        best_j = np.zeros(nc, dtype=np.int64)
+        best_t = np.zeros(nc)
+        best_j[row[at]] = seg[at]
+        best_t[row[at]] = t[at]
+        # left ray, nearest block segment, right ray: ascending index, so
+        # argmin's first minimum keeps the tie toward the lowest index
+        cand_d = np.stack([ray_d[:, 0], best, ray_d[:, 1]])
+        cand_j = np.stack([np.zeros_like(best_j), best_j,
+                           np.full_like(best_j, m + 1)])
+        cand_t = np.stack([ray_t[:, 0], best_t, ray_t[:, 1]])
+        pick = np.argmin(cand_d, axis=0), np.arange(nc)
+        dist[i0:i0 + nc] = cand_d[pick]
+        idx[i0:i0 + nc] = cand_j[pick]
+        ts[i0:i0 + nc] = cand_t[pick]
     return dist, idx, ts
 
 
-def is_interior(trace: BoundaryTrace, z: complex,
-                far_radius: float = 4096.0) -> bool:
-    """Parity of crossings of a long downward ray with the extended boundary."""
-    seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
+def _nearest_on_segments(z: np.ndarray, seg_s: np.ndarray, seg_e: np.ndarray):
+    """(distance, segment index, parameter t) of the closest boundary point.
+
+    Exact two-level search over _extended_segments: the tail rays are tested
+    against every point, and the polyline segments only in the blocks of
+    _block_circles whose lower bound |z - c| - R is within 1e-12 relative
+    of the upper bound u = min(ray distances, min_b |z - c| + R). The
+    result is bitwise equal to the brute force over all segments (the
+    same floating-point expression per segment, ties toward the lowest
+    index as np.argmin), which tests/oracles.py keeps as the reference.
+    """
+    return _nearest_in_blocks(z, seg_s, seg_e, *_block_circles(seg_s, seg_e))
+
+
+def _odd_crossings(seg_s: np.ndarray, seg_e: np.ndarray, z: complex) -> bool:
+    """Parity of crossings of a long downward ray from z with the segments."""
     x0, y0 = z.real, z.imag
     lo = np.minimum(seg_s.real, seg_e.real)
     hi = np.maximum(seg_s.real, seg_e.real)
@@ -380,6 +457,13 @@ def is_interior(trace: BoundaryTrace, z: complex,
     return bool(np.sum(hits) % 2 == 1)
 
 
+def is_interior(trace: BoundaryTrace, z: complex,
+                far_radius: float = 4096.0) -> bool:
+    """Parity of crossings of a long downward ray with the extended boundary."""
+    seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
+    return _odd_crossings(seg_s, seg_e, z)
+
+
 def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
                          mc: MCConfig) -> WosReport:
     """Hitting frequency of each boundary arc for Brownian motion from X.
@@ -388,9 +472,13 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
     uniform point of the largest boundary-free circle, is absorbed once
     within wos_epsilon of the boundary (hit assigned to the nearest
     parameter), and is abandoned as 'far' beyond far_radius, where its
-    arc-hitting probability is O(arc size / far_radius) and ignored. The
-    angle used by walker w at step s depends only on (seed, s, w), so
-    results are independent of chunking.
+    arc-hitting probability is O(arc size / far_radius) and ignored; the
+    pole must lie inside that disk. The angle used by walker w at step s
+    depends only on (seed, s, w), so results are independent of chunking.
+    The nearest boundary point comes from the exact block-pruned search of
+    _nearest_on_segments: the tail rays are always tested, the distance,
+    segment and parameter are bitwise those of testing every segment, and
+    ties go to the lowest segment index.
     """
     arcs = [(float(a), float(b)) for a, b in arcs]
     if not arcs:
@@ -407,10 +495,14 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
     if not mc.wos_epsilon < 0.1 * min_width:
         raise ValueError("absorption shell must be below arc width / 10")
     X = complex(X)
-    if not is_interior(trace, X, mc.far_radius):
-        raise ValueError("pole must be interior to the traced domain")
-
+    if not abs(X) < mc.far_radius:
+        raise ValueError("pole must lie inside the far-field disk: |X| = %g "
+                         "is not below far_radius = %g"
+                         % (abs(X), mc.far_radius))
     seg_s, seg_e, par_s, par_e = _extended_segments(trace, mc.far_radius)
+    if not _odd_crossings(seg_s, seg_e, X):
+        raise ValueError("pole must be interior to the traced domain")
+    centres, radii = _block_circles(seg_s, seg_e)
     n = mc.n_walkers
     rng = np.random.Generator(np.random.Philox(mc.seed))
     z = np.full(n, X, dtype=complex)
@@ -422,7 +514,8 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
         if act.size == 0:
             break
         u = rng.random(n)
-        dist, idx, ts = _nearest_on_segments(z[act], seg_s, seg_e)
+        dist, idx, ts = _nearest_in_blocks(z[act], seg_s, seg_e, centres,
+                                           radii)
         hit = dist < mc.wos_epsilon
         habs = act[hit]
         state[habs] = 1

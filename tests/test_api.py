@@ -79,5 +79,6 @@ def test_removed_settings_stay_removed():
     assert params(classify_dini) == {"spec"}
     assert "n" not in params(SmoothedModulus.derivative_sup)
     assert "half_width" not in params(poisson_of_kf_oracle)
-    assert "chunk" not in params(_nearest_on_segments)
+    assert list(inspect.signature(_nearest_on_segments).parameters) == [
+        "z", "seg_s", "seg_e"]
     assert not hasattr(HarmonicEvaluator, "boundary_arg")

@@ -21,7 +21,11 @@ from hypothesis import strategies as st
 from nondini.conformal import BoundaryTrace, trace_boundary
 from nondini.hilbert import HilbertEvaluator
 from nondini.measure import (
+    _B,
     MCConfig,
+    _block_circles,
+    _extended_segments,
+    _nearest_on_segments,
     appendix_product_integral,
     density_at,
     is_interior,
@@ -32,6 +36,7 @@ from nondini.measure import (
 )
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import MODE_C1, MODE_LIPSCHITZ, build_bridge, build_profile
+from oracles import nearest_on_segments_bruteforce
 
 WEDGE_C = 0.9
 WEDGE_Q = 1.0 - WEDGE_C / math.pi
@@ -51,6 +56,11 @@ def ev_lip():
 @pytest.fixture(scope="module")
 def trace_lip(ev_lip):
     return trace_boundary(ev_lip, -1.0, 1.2, base_n=200)
+
+
+@pytest.fixture(scope="module")
+def trace_c1(ev_c1):
+    return trace_boundary(ev_c1, -1.0, 1.2, base_n=40)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +260,118 @@ def test_interior_parity():
     assert not is_interior(tr, -1j)
 
 
+def _curve_trace(n):
+    """A wavy polyline with n points (not a traced Phi, only a geometry)."""
+    xs = np.linspace(-2.0, 2.0, n)
+    return BoundaryTrace(x=xs, phi=xs + 0.3j * np.sin(3.0 * xs),
+                         abs_dphi=np.ones(n), is_singular=np.zeros(n, bool),
+                         c_prime=0.0)
+
+
+def _search_queries(trace, far_radius, rng):
+    """Points on the boundary, at its vertices, beside and on the tail rays,
+    near the far-field circle, and scattered around the traced curve."""
+    P = np.asarray(trace.phi)
+    seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
+    t = rng.random(P.size - 1)
+    on_boundary = [P, 0.5 * (P[:-1] + P[1:]), P[:-1] + t * (P[1:] - P[:-1])]
+    beside = [P + h * 1j * np.exp(1j * rng.uniform(0, 2 * np.pi, P.size))
+              for h in (1e-12, 1e-6, 1e-2)]
+    rays = []
+    for j in (0, -1):
+        u = (seg_e[j] - seg_s[j]) / abs(seg_e[j] - seg_s[j])
+        foot = seg_e[0] if j == 0 else seg_s[-1]
+        sign = -1.0 if j == 0 else 1.0
+        s = np.concatenate([[0.0],
+                            np.logspace(-12, np.log10(4 * far_radius), 40)])
+        for off in (0.0, 1e-12, -1e-9, 1e-3, -0.5, 2.0):
+            rays.append(foot + sign * s * u + off * 1j * u)
+    ang = rng.uniform(0, 2 * np.pi, 400)
+    far = [far_radius * (1.0 - 1e-9) * np.exp(1j * ang),
+           0.9 * far_radius * np.exp(1j * ang)]
+    lo, hi = P.real.min() - 1.0, P.real.max() + 1.0
+    blo, bhi = P.imag.min() - 1.0, P.imag.max() + 1.0
+    box = [rng.uniform(lo, hi, 4000) + 1j * rng.uniform(blo, bhi, 4000)]
+    return np.concatenate(on_boundary + beside + rays + far + box)
+
+
+def _search_trace(name, request):
+    return {
+        "lip": lambda: request.getfixturevalue("trace_lip"),
+        "c1": lambda: request.getfixturevalue("trace_c1"),
+        # fewer segments than two blocks, collinear: a tie at every vertex
+        "flat": lambda: BoundaryTrace.flat(-8.0, 8.0, 33),
+        # a segment count that is not a multiple of the block size
+        "curve": lambda: _curve_trace(3 * _B + 6),
+        "wedge": lambda: request.getfixturevalue("trace_wedge"),
+    }[name]()
+
+
+SEARCH_TRACES = ["lip", "c1", "flat", "curve", "wedge"]
+
+
+@pytest.mark.parametrize("name", SEARCH_TRACES)
+def test_block_circles_bound_every_computed_distance(name, request):
+    # |z - c| - R stays below the computed distance to every segment of the
+    # block, also for points a few ulps outside the farthest endpoint, where
+    # a radius without its 1e-12 inflation fails by rounding
+    seg_s, seg_e, _, _ = _extended_segments(_search_trace(name, request),
+                                            4096.0)
+    centres, radii = _block_circles(seg_s, seg_e)
+    m = seg_s.size - 2
+    assert centres.size == -(-m // _B)
+    rng = np.random.default_rng(2)
+    for b in range(centres.size):
+        j = np.arange(1 + _B * b, min(_B * (b + 1), m) + 1)
+        pts = np.concatenate([seg_s[j], seg_e[j]])
+        out = np.exp(1j * np.angle(pts - centres[b]))
+        z = np.concatenate(
+            [pts + h * out for h in (0.0, 1e-17, 1e-16, 3e-16, 1e-15, 1e-14)]
+            + [pts + 1e-16 * np.exp(2j * np.pi * rng.random(pts.size))
+               for _ in range(5)])
+        dist = nearest_on_segments_bruteforce(z, seg_s[j], seg_e[j])[0]
+        assert np.all(np.abs(z - centres[b]) - radii[b] <= dist)
+
+
+@pytest.mark.parametrize("name", SEARCH_TRACES)
+def test_nearest_segment_search_matches_bruteforce(name, request):
+    # the block-pruned search returns the brute force's (distance, index, t)
+    # bit for bit, ties at shared vertices included
+    trace = _search_trace(name, request)
+    assert name != "curve" or (trace.x.size - 1) % _B != 0
+    rng = np.random.default_rng(5)
+    for far_radius in (8.0, 4096.0):
+        seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
+        z = _search_queries(trace, far_radius, rng)
+        fast = _nearest_on_segments(z, seg_s, seg_e)
+        slow = nearest_on_segments_bruteforce(z, seg_s, seg_e)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+    # the queries include exact hits on vertices shared by two segments
+    assert np.any(slow[0] == 0.0)
+
+
+_CURVE = _curve_trace(3 * _B + 6)
+_CURVE_SEGS = _extended_segments(_CURVE, 16.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, _CURVE.x.size - 1),
+              st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 0.1, 3.0, 15.0]),
+              st.floats(0.0, 2.0 * math.pi)),
+    min_size=1, max_size=40))
+def test_nearest_segment_search_property(points):
+    # vertices pushed off by any of a ladder of distances in any direction
+    P = np.asarray(_CURVE.phi)
+    z = np.array([P[j] + h * complex(math.cos(a), math.sin(a))
+                  for j, h, a in points])
+    fast = _nearest_on_segments(z, *_CURVE_SEGS[:2])
+    slow = nearest_on_segments_bruteforce(z, *_CURVE_SEGS[:2])
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b)
+
+
 def test_wos_halfplane_matches_poisson_kernel():
     tr = BoundaryTrace.flat(-8.0, 8.0, 33)
     mc = MCConfig(n_walkers=20_000, seed=42, wos_epsilon=1e-4)
@@ -300,6 +422,11 @@ def test_wos_validations():
         wos_harmonic_measure(tr, 1j, [(0.0, 1e-4)], mc)
     with pytest.raises(ValueError, match="interior"):
         wos_harmonic_measure(tr, -1j, [(0.0, 1.0)], mc)
+    # a pole outside the far-field disk would lose most walkers at once
+    for pole in (10j, 8j):
+        with pytest.raises(ValueError, match="far_radius"):
+            wos_harmonic_measure(tr, pole, [(-1.0, 1.0)],
+                                 MCConfig(n_walkers=2000, far_radius=8.0))
     with pytest.raises(RuntimeError, match="exceeded max_steps"):
         wos_harmonic_measure(tr, 1j, [(0.0, 1.0)],
                              MCConfig(n_walkers=2000, seed=1, max_steps=3))
@@ -363,6 +490,9 @@ def test_pole_comparison_errors():
                         MCConfig(n_walkers=2000, seed=1, wos_epsilon=0.06))
     with pytest.raises(ValueError, match="positive and distinct"):
         pole_comparison(tr, None, 1j, 0.0, [0.25, 0.25], mc)
+    with pytest.raises(ValueError, match="far_radius"):
+        pole_comparison(tr, None, 10j, 0.0, [0.25],
+                        MCConfig(n_walkers=2000, seed=1, far_radius=8.0))
 
 
 # -- product integrability -------------------------------------------------------
