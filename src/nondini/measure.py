@@ -411,6 +411,7 @@ def _nearest_in_blocks(z, seg_s, seg_e, centres, radii):
         best = np.full(nc, np.inf)
         start = _B * (np.cumsum(per_row) - per_row)
         best[has] = np.minimum.reduceat(dd, start[has])
+        # first position of each walker's minimum: its lowest segment index
         at = np.flatnonzero(dd == best[row])
         at = at[np.diff(row[at], prepend=-1) != 0]
         best_j = np.zeros(nc, dtype=np.int64)
