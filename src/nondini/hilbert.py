@@ -25,6 +25,7 @@ function that needs only Kf takes the HilbertEvaluator itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,20 @@ __all__ = [
 ]
 
 PI = math.pi
+# elements of the (jumps x points) matrix of shifted arguments that kf_vec
+# hands to one k_htilde_vec call
+_KF_CHUNK = 8192
+
+
+def _rise_scale(x: float) -> float:
+    """Power of two s ~ |x|, clamped to [2^-1020, 1], for the rise integrals.
+
+    They run in t = y/s. Scaling by a power of two is exact, so wherever the
+    y form stays in the normal doubles the t form gives the same bits; near
+    the bottom of the doubles it keeps the nodes around x normal and the
+    integrand finite, and the clamp keeps x0/s finite (x0 <= 1/8).
+    """
+    return math.ldexp(1.0, max(min(math.frexp(x)[1], 0), -1020))
 
 
 def pv_log_integral(a: float, b: float, x: float) -> float:
@@ -93,29 +108,33 @@ class HilbertEvaluator:
     def bridge(self) -> BridgeSpline:
         return self.profile.bridge
 
-    def _ht(self, u):
-        return self.sm.value_vec(np.asarray(u, dtype=float))
-
     def _bridge_edges(self, lo: float, hi: float, focus: float, min_scale: float):
         knots = [k for k in self.bridge.knots if lo < k < hi]
         return merge_edges(graded_edges(lo, hi, focus, min_scale), knots, [lo, hi])
+
+    @functools.cached_property
+    def _bridge_grids(self) -> dict:
+        """_int_bridge's cell edges, graded toward x0 and toward x_star."""
+        x0, xs = self.bridge.x0, self.bridge.x_star
+        return {f: self._bridge_edges(x0, xs, f, (xs - x0) * 1e-10) for f in (x0, xs)}
 
     def _int_rise(self, x: float, shift: float) -> float:
         """int_0^{x0} (theta_tilde(y) - shift) / (x - y) dy, x outside (0, x0).
 
         Graded toward 0 where theta_tilde varies on every scale; the tail cell
         at 0 contributes O(cell * theta_tilde / |x|), controlled by min_scale.
+        Integrated in t = y/s (see _rise_scale).
         """
-        x0 = self.bridge.x0
+        s = _rise_scale(x)
+        xt, x0t = x / s, self.bridge.x0 / s
         # the first cell [0, min_scale] carries integrand magnitude ~ ht/|x|,
         # so the grading floor must shrink with |x|
-        scale = min(abs(x), x0)
-        edges = graded_edges(0.0, x0, 0.0, min_scale=max(scale * self.quad_tol, 1e-280))
-        if shift != 0.0 and x > x0:
+        edges = graded_edges(0.0, x0t, 0.0, min_scale=min(abs(xt), x0t) * self.quad_tol)
+        if shift != 0.0 and xt > x0t:
             # region (x0, x_star): the quotient turns over on scale x - x0 near y = x0
-            near = graded_edges(0.0, x0, x0, min_scale=max(x - x0, x0 * 1e-12))
+            near = graded_edges(0.0, x0t, x0t, min_scale=max(xt - x0t, x0t * 1e-12))
             edges = merge_edges(edges, near)
-        fn = lambda y: (self._ht(y) - shift) / (x - y)
+        fn = lambda t: (self.sm.scaled_value_vec(t, s) - shift) / (xt - t)
         return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
 
     def _int_rise_pv(self, x: float) -> float:
@@ -124,31 +143,32 @@ class HilbertEvaluator:
         The integrand extends continuously by -theta_tilde'(x) at y = x; on a
         window |y - x| < eta it is replaced by that difference-quotient limit
         (error O(eta^2 * curvature), far below quad_tol for eta = 1e-6 x).
+        Integrated in t = y/s (see _rise_scale), where the limit is
+        -s theta_tilde'(x), finite down to the smallest double.
         """
-        x0 = self.bridge.x0
+        s = _rise_scale(x)
+        xt, x0t = x / s, self.bridge.x0 / s
         hx = self.sm.value(x)
-        dx = self.sm.derivative(x)
-        eta = 1e-6 * x
+        slope = float(self.sm.scaled_derivative_vec(np.array([xt]), s)[0])
+        eta = 1e-6 * xt
 
-        def fn(y):
-            out = np.empty_like(y)
-            near = np.abs(y - x) < eta
-            out[near] = -dx
-            yy = y[~near]
-            out[~near] = (self._ht(yy) - hx) / (x - yy)
+        def fn(t):
+            out = np.empty_like(t)
+            near = np.abs(t - xt) < eta
+            out[near] = -slope
+            tt = t[~near]
+            out[~near] = (self.sm.scaled_value_vec(tt, s) - hx) / (xt - tt)
             return out
 
-        e1 = graded_edges(0.0, x0, 0.0, min_scale=max(x * self.quad_tol, 1e-280))
-        e2 = graded_edges(0.0, x0, x, min_scale=eta)
-        return gauss_graded(fn, merge_edges(e1, e2, [x] if 0 < x < x0 else []),
+        e1 = graded_edges(0.0, x0t, 0.0, min_scale=xt * self.quad_tol)
+        e2 = graded_edges(0.0, x0t, xt, min_scale=eta)
+        return gauss_graded(fn, merge_edges(e1, e2, [xt] if 0 < xt < x0t else []),
                             tol=self.quad_tol * 0.25)
 
     def _int_bridge(self, x: float, shift: float, focus: float) -> float:
         """int_{x0}^{x_star} (g(y) - shift) / (x - y) dy, x outside (x0, x_star)."""
-        x0, xs = self.bridge.x0, self.bridge.x_star
         fn = lambda y: (self.bridge.value_vec(y) - shift) / (x - y)
-        edges = self._bridge_edges(x0, xs, focus, (xs - x0) * 1e-10)
-        return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, self._bridge_grids[focus], tol=self.quad_tol * 0.25)
 
     def _int_bridge_pv(self, x: float) -> float:
         """int_{x0}^{x_star} (g(y) - g(x)) / (x - y) dy, x0 <= x <= x_star."""
@@ -223,15 +243,22 @@ class HilbertEvaluator:
         """K f on an array; -inf exactly at the jump set."""
         xs = np.asarray(xs, dtype=float)
         p = self.profile
-        out = np.zeros_like(xs)
         if p.mode == MODE_LIPSCHITZ:
+            out = np.zeros_like(xs)
             for ak, xk in zip(p.a, p.x):
                 with np.errstate(divide="ignore"):
                     out += ak * np.log(np.abs(xs - xk))
             return p.c * out / PI
-        for ak, xk in zip(p.a, p.x):
-            out += ak * self.k_htilde_vec(xs - xk)
-        return p.c * out
+        # one k_htilde_vec call per chunk of points, summed in ascending k
+        flat = xs.ravel()
+        out = np.zeros(flat.size)
+        jumps = np.asarray(p.x, dtype=float)[:, None]
+        step = max(1, _KF_CHUNK // len(p.x))
+        for i in range(0, flat.size, step):
+            vals = self.k_htilde_vec(flat[None, i:i + step] - jumps)
+            for ak, row in zip(p.a, vals):
+                out[i:i + step] += ak * row
+        return p.c * out.reshape(xs.shape)
 
     def k_profile(self, x: float):
         """(K f(x), -inf at a jump; regular part without the nearest jump's term)."""
@@ -331,6 +358,8 @@ def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> floa
     closed tail uses f == c' beyond Y. The excised window contributes
     -2 eps f'(x) + O(eps^3), so the two-point Richardson step 2 I(eps/2) - I(eps)
     converges at cubic rate; the last two extrapolants must agree to 1e-7.
+    The default radii start at half the distance from x to the nearest jump
+    or, when that is closer, to the compensator's jump at y = 1.
     Only profile values are used: this path is independent of the region
     formulas by construction.
     """
@@ -339,7 +368,10 @@ def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> floa
     if eps_sequence is None:
         if dist <= 0.0:
             raise ValueError("oracle needs x away from the jump set")
-        eps_sequence = [dist * 0.5 * 2.0 ** -j for j in range(11)]
+        # the window must not reach the compensator's jump at y = 1 either:
+        # I(eps) has a kink where it crosses, which stalls the extrapolation
+        base = dist if x == 1.0 else min(dist, 2.0 * abs(x - 1.0))
+        eps_sequence = [base * 0.5 * 2.0 ** -j for j in range(11)]
     eps_sequence = list(eps_sequence)
     if any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps sequence must decrease")
@@ -390,33 +422,76 @@ def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> floa
     return rich[-1] / PI if rich else vals[-1] / PI
 
 
-class KHtildeTable:
-    """Per-piece Chebyshev fit of K Htilde in log2|u|, one sign branch each.
+DEEP, MID, FAR = 0, 1, 2
 
-    Pieces are octaves of |u| on [2^LO_EXP, 2^HI_EXP], split at the Htilde
-    knots and geometrically refined toward x_star (and x0, and any interior
-    bridge knot) where K has weak (u-knot)^2 log|u-knot| endpoint behavior.
-    Exact zeros map to IEEE -inf; arguments outside the table range fall back
-    to the direct region formulas. Construction samples N_CHECK random points
-    on both branches and records the observed sup error against the direct
-    evaluator, which must stay below CHECK_TOL.
+
+def _clenshaw(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """chebval(w[i], c[i]) for every row i, in chebval's order of operations."""
+    w2 = 2 * w
+    c0, c1 = c[:, -2], c[:, -1]
+    for i in range(3, c.shape[1] + 1):
+        c0, c1 = c[:, -i] - c1, c0 + c1 * w2
+    return c0 + c1 * w
+
+
+class KHtildeTable:
+    """Piecewise Chebyshev fit of K Htilde over every nonzero double.
+
+    Each sign branch has three zones of degree-DEG pieces, each zone in its
+    own variable:
+
+      deep, 2^MIN_EXP <= |u| < 2^LO_EXP:  one piece in s = log2(-log2|u|),
+          where K Htilde ~ -(ln 2/pi) ln ln(1/|u|) + const is smooth;
+      mid, 2^LO_EXP <= |u| <= 2^HI_EXP:   octaves of v = log2|u|, split at the
+          Htilde knots and geometrically refined toward x_star (and x0, and
+          any interior bridge knot) where K has weak (u-knot)^2 log|u-knot|
+          endpoint behavior;
+      far, |u| > 2^HI_EXP:                one piece in t = 2^HI_EXP/|u| of
+          pi K Htilde(u) - log|u|, which vanishes like 1/u.
+
+    Every coefficient row sits in one (pieces x (DEG+1)) array, so a lookup
+    gathers rows by piece index and runs one Clenshaw recurrence over all
+    points. Exact zeros map to IEEE -inf and +-inf to +inf; NaN raises
+    ValueError. There is no fallback: the direct region formulas are only
+    the fitting data. Construction samples N_CHECK random points over the
+    three zones of both branches, and +-2^MIN_EXP, and records the observed
+    sup error against the direct evaluator, which must stay below CHECK_TOL.
     """
 
-    def __init__(self, pos_edges, pos_coef, neg_edges, neg_coef, ev, max_err):
-        self.pos_edges = pos_edges    # increasing, in v = log2(u), u > 0
-        self.pos_coef = pos_coef
-        self.neg_edges = neg_edges    # increasing, in v = log2(-u), u < 0
-        self.neg_coef = neg_coef
-        self.ev = ev
-        self.max_err = max_err
-        self.v_lo = pos_edges[0]
-        self.v_hi = pos_edges[-1]
-
     DEG = 23
+    MIN_EXP = -1074
     LO_EXP = -48
     HI_EXP = 16
     N_CHECK = 160
     CHECK_TOL = 1e-8
+
+    def __init__(self, edges, coef, max_err):
+        # edges[3 * negative + zone]: increasing piece ends in the zone
+        # variable, for u > 0 (negative = 0) and u < 0; coef stacks the pieces
+        # of the six groups in that order
+        self.edges = edges
+        self.coef = coef
+        self.first = []
+        lo, hi = [], []
+        for e in edges:
+            self.first.append(len(lo))
+            lo.extend(e[:-1])
+            hi.extend(e[1:])
+        self.lo = np.array(lo)
+        self.hi = np.array(hi)
+        self.max_err = max_err
+        # covered range of log2|u|: every nonzero double
+        self.v_lo = float(self.MIN_EXP)
+        self.v_hi = math.inf
+
+    @classmethod
+    def _variable(cls, zone: int, au: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The zone's piece variable at |u| = au, v = log2(au)."""
+        if zone == DEEP:
+            return np.log2(-v)
+        if zone == FAR:
+            return 2.0 ** cls.HI_EXP / au
+        return v
 
     @classmethod
     def build(cls, ev: HilbertEvaluator) -> "KHtildeTable":
@@ -432,57 +507,71 @@ class KHtildeTable:
                         splits.add(s)
             if u_lo < knot < u_hi:
                 splits.add(knot)
-        pos_u = np.array(sorted(splits))
-        pos_edges = np.log2(pos_u)
-        neg_edges = np.array([float(e) for e in exps])
+        deep = np.log2([-cls.LO_EXP, -cls.MIN_EXP])
+        far = np.array([0.0, 1.0])
+        edges = [deep, np.log2(np.array(sorted(splits))), far,
+                 deep, np.array([float(e) for e in exps]), far]
 
         nodes = np.cos(np.pi * (np.arange(cls.DEG + 1) + 0.5) / (cls.DEG + 1))
 
-        def fit(v_lo, v_hi, sign):
-            v = v_lo + 0.5 * (nodes + 1.0) * (v_hi - v_lo)
-            vals = np.array([ev.k_htilde(float(sign * 2.0 ** vi)) for vi in v])
-            return np.polynomial.chebyshev.chebfit(nodes, vals, cls.DEG)
+        def fit(group, lo, hi):
+            sign, zone = (-1.0 if group >= 3 else 1.0), group % 3
+            x = lo + 0.5 * (nodes + 1.0) * (hi - lo)
+            if zone == MID:
+                vals = np.array([ev.k_htilde(float(sign * 2.0 ** xi)) for xi in x])
+                return np.polynomial.chebyshev.chebfit(nodes, vals, cls.DEG)
+            # deep magnitudes round to subnormals and far ones in the division,
+            # so the fit takes the variable of the rounded u
+            au = 2.0 ** -(2.0 ** x) if zone == DEEP else 2.0 ** cls.HI_EXP / x
+            w = 2.0 * (cls._variable(zone, au, np.log2(au)) - lo) / (hi - lo) - 1.0
+            vals = np.array([ev.k_htilde(float(sign * a)) for a in au])
+            if zone == FAR:
+                vals = PI * vals - np.log(au)
+            return np.polynomial.chebyshev.chebfit(w, vals, cls.DEG)
 
-        pos_coef = [fit(a, b, +1.0) for a, b in zip(pos_edges[:-1], pos_edges[1:])]
-        neg_coef = [fit(a, b, -1.0) for a, b in zip(neg_edges[:-1], neg_edges[1:])]
-        table = cls(pos_edges, pos_coef, neg_edges, neg_coef, ev, 0.0)
+        coef = np.array([fit(g, lo, hi) for g, e in enumerate(edges)
+                         for lo, hi in zip(e[:-1], e[1:])])
+        table = cls(edges, coef, 0.0)
 
+        # per branch: random points in each zone's variable, and 2^MIN_EXP
         rng = np.random.default_rng(123456789)
-        v = rng.uniform(cls.LO_EXP, cls.HI_EXP, cls.N_CHECK)
-        half = cls.N_CHECK // 2
-        us = np.concatenate([2.0 ** v[:half], -(2.0 ** v[half:])])
+        q = cls.N_CHECK // 16
+        mags = np.concatenate([
+            2.0 ** rng.uniform(cls.LO_EXP, cls.HI_EXP, 6 * q - 1),
+            2.0 ** -(2.0 ** rng.uniform(deep[0], deep[1], q)),
+            2.0 ** cls.HI_EXP / rng.uniform(0.0, 1.0, q),
+            [2.0 ** cls.MIN_EXP],
+        ])
+        us = np.concatenate([mags, -mags])
         direct = np.array([ev.k_htilde(float(u)) for u in us])
         err = float(np.max(np.abs(table.eval_vec(us) - direct)))
-        if err > cls.CHECK_TOL:
+        if not err <= cls.CHECK_TOL:
             raise QuadratureError(f"K Htilde table check failed: sup err {err:.3e}")
         table.max_err = err
         return table
 
-    def _eval_branch(self, v, edges, coefs, out, mask):
-        idx = np.clip(np.searchsorted(edges, v[mask], side="right") - 1,
-                      0, len(coefs) - 1)
-        sub = np.empty(mask.sum())
-        for piece in np.unique(idx):
-            sel = idx == piece
-            a, b = edges[piece], edges[piece + 1]
-            w = 2.0 * (v[mask][sel] - a) / (b - a) - 1.0
-            sub[sel] = np.polynomial.chebyshev.chebval(w, coefs[piece])
-        out[mask] = sub
-
     def eval_vec(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        shape = u.shape
-        u = u.ravel()
-        out = np.empty_like(u)
-        zero = u == 0.0
-        out[zero] = -np.inf
-        au = np.abs(u)
-        inside = (~zero) & (au >= 2.0 ** self.v_lo) & (au <= 2.0 ** self.v_hi)
-        v = np.zeros_like(u)
-        v[~zero] = np.log2(au[~zero])
-        self._eval_branch(v, self.pos_edges, self.pos_coef, out, inside & (u > 0))
-        self._eval_branch(v, self.neg_edges, self.neg_coef, out, inside & (u < 0))
-        far = (~zero) & ~inside
-        for i in np.nonzero(far)[0]:
-            out[i] = self.ev.k_htilde(float(u[i]))
-        return out.reshape(shape)
+        if np.isnan(u).any():
+            raise ValueError("K Htilde of NaN: the argument must be a number")
+        flat = u.ravel()
+        out = np.full(flat.shape, -np.inf)
+        nz = np.flatnonzero(flat)
+        au = np.abs(flat[nz])
+        v = np.log2(au)
+        zone = np.where(v < self.LO_EXP, DEEP, np.where(v > self.HI_EXP, FAR, MID))
+        group = zone + 3 * (flat[nz] < 0.0)
+        x = np.empty_like(v)
+        idx = np.empty(v.shape, dtype=np.intp)
+        for g, edges in enumerate(self.edges):
+            sel = np.flatnonzero(group == g)
+            if sel.size:
+                x[sel] = self._variable(g % 3, au[sel], v[sel])
+                idx[sel] = self.first[g] + np.clip(
+                    np.searchsorted(edges, x[sel], side="right") - 1, 0, len(edges) - 2)
+        lo, hi = self.lo[idx], self.hi[idx]
+        vals = _clenshaw(2.0 * (x - lo) / (hi - lo) - 1.0, self.coef[idx])
+        far = zone == FAR
+        vals[far] = (vals[far] + np.log(au[far])) / PI
+        out[nz] = vals
+        return out.reshape(u.shape)

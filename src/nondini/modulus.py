@@ -51,6 +51,18 @@ _DINI_CONVERGED_INCREMENT = 1e-8
 _DINI_DIVERGED_SUM = 40.0
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _neg_log(t: np.ndarray, s: float) -> np.ndarray:
+    """-ln(s t) for a power of two s, from ln t + ln s where s t is subnormal."""
+    r = s * t
+    if r.size == 0 or r.min() >= _TINY:
+        return -np.log(r)
+    with np.errstate(divide="ignore"):
+        return np.where(r < _TINY, -(np.log(t) + math.log(s)), -np.log(r))
+
+
 class DiniClass(enum.Enum):
     DINI = "dini"
     NON_DINI = "non_dini"
@@ -191,14 +203,23 @@ class SmoothedModulus:
 
     def value_vec(self, r: np.ndarray) -> np.ndarray:
         """Vectorized theta_tilde, closed-form for builtins, no domain checks."""
-        r = np.asarray(r, dtype=float)
+        return self.scaled_value_vec(r, 1.0)
+
+    def scaled_value_vec(self, t: np.ndarray, s: float) -> np.ndarray:
+        """theta_tilde(s t) for a power of two s, no domain checks.
+
+        Wherever s t is a normal double this is exactly value_vec(s t); below
+        that the log_inverse form takes ln(s t) = ln t + ln s, so it stays
+        accurate down to the smallest double and beyond.
+        """
+        t = np.asarray(t, dtype=float)
         kind = self.base.kind
         if kind == KIND_CONSTANT:
-            return np.full_like(r, self.base.c)
+            return np.full_like(t, self.base.c)
         if kind == KIND_POWER:
             g = self.base.gamma
             coef = (2.0 ** g - 1.0) ** 2 / (g * g * LN2 * LN2)
-            return coef * r ** g
+            return coef * (s * t) ** g
         if kind == KIND_LOG_INVERSE:
             # theta(s)/s integrates to -ln2 * ln ln(1/s); one more level gives
             # the second difference of phi(w) = w ln w - w at lag ln 2:
@@ -207,36 +228,45 @@ class SmoothedModulus:
             # which evaluates without the cancellation the raw second
             # difference suffers for large a (it is ~ ln^2 2/B while the phi
             # terms are ~ a log a).
-            b = -np.log(r) - LN2
+            b = _neg_log(t, s) - LN2
             d2 = (b * np.log1p(-LN2 * LN2 / (b * b))
                   + LN2 * (np.log1p(LN2 / b) - np.log1p(-LN2 / b)))
             return d2 / LN2
-        return np.array([self._tab_value(x) for x in np.atleast_1d(r)])
+        return np.array([self._tab_value(x) for x in np.atleast_1d(s * t)])
 
     def derivative(self, r: float) -> float:
         self._check_domain(r)
         return float(self.derivative_vec(np.array([r]))[0])
 
     def derivative_vec(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
+        return self.scaled_derivative_vec(r, 1.0)
+
+    def scaled_derivative_vec(self, t: np.ndarray, s: float) -> np.ndarray:
+        """d/dt theta_tilde(s t) = s theta_tilde'(s t) for a power of two s.
+
+        Exactly s * derivative_vec(s t) wherever both are normal doubles; for
+        log_inverse it stays finite down to the smallest double, where
+        theta_tilde' itself (about 1e-6 / r) overflows.
+        """
+        t = np.asarray(t, dtype=float)
         kind = self.base.kind
         if kind == KIND_CONSTANT:
-            return np.zeros_like(r)
+            return np.zeros_like(t)
         if kind == KIND_POWER:
             g = self.base.gamma
             coef = (2.0 ** g - 1.0) ** 2 / (g * LN2 * LN2)
-            return coef * r ** (g - 1.0)
+            return coef * (s * t) ** (g - 1.0) * s
         if kind == KIND_LOG_INVERSE:
             # (J(2r) - J(r)) / (r ln^2 2) with J(t) = int_t^{2t} theta/s ds
             #                             = ln2 * ln(ln(1/t) / (ln(1/t) - ln2));
             # the quotient collapses to B^2/(B^2 - ln^2 2), B = ln(1/r) - ln2.
-            b = -np.log(r) - LN2
-            return -np.log1p(-LN2 * LN2 / (b * b)) / (r * LN2)
+            b = _neg_log(t, s) - LN2
+            return -np.log1p(-LN2 * LN2 / (b * b)) / (t * LN2)
         out = []
-        for x in np.atleast_1d(r):
+        for x, tx in zip(np.atleast_1d(s * t), np.atleast_1d(t)):
             j1 = self._tab_int_over_s(x, 2.0 * x)
             j2 = self._tab_int_over_s(2.0 * x, 4.0 * x)
-            out.append((j2 - j1) / (x * LN2 * LN2))
+            out.append((j2 - j1) / (tx * LN2 * LN2))
         return np.array(out)
 
     def derivative_sup(self, a: float, b: float) -> float:

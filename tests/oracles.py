@@ -32,3 +32,27 @@ def nearest_on_segments_bruteforce(z, seg_s, seg_e):
         idx[i0:i0 + chunk] = j
         ts[i0:i0 + chunk] = t[rows, j]
     return dist, idx, ts
+
+
+def k_htilde_per_piece(table, u):
+    """K Htilde on 2^LO_EXP <= |u| <= 2^HI_EXP from the table's octave
+    pieces, one `chebval` call per piece and sign branch."""
+    from nondini.hilbert import MID
+
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    v = np.log2(np.abs(u))
+    for negative in (False, True):
+        mask = (u < 0.0) == negative
+        edges = table.edges[3 * negative + MID]
+        first = table.first[3 * negative + MID]
+        idx = np.clip(np.searchsorted(edges, v[mask], side="right") - 1,
+                      0, len(edges) - 2)
+        sub = np.empty(mask.sum())
+        for piece in np.unique(idx):
+            sel = idx == piece
+            a, b = edges[piece], edges[piece + 1]
+            w = 2.0 * (v[mask][sel] - a) / (b - a) - 1.0
+            sub[sel] = np.polynomial.chebyshev.chebval(w, table.coef[first + piece])
+        out[mask] = sub
+    return out

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import nondini
@@ -74,6 +75,9 @@ def test_removed_settings_stay_removed():
     assert not {"tol", "n"} & params(integrate_power_endpoint)
     # settings no caller changed are constants now
     assert params(KHtildeTable.build) == {"ev"}
+    # the table is one stacked lookup that never calls back into the evaluator
+    assert not hasattr(KHtildeTable, "_eval_branch")
+    assert not hasattr(KHtildeTable([], np.zeros((0, KHtildeTable.DEG + 1)), 0.0), "ev")
     assert "limit" not in params(quad_complex) | params(quad_scalar)
     assert "n" not in params(gauss_graded)
     assert params(classify_dini) == {"spec"}

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini.hilbert import (
+    MID,
     HilbertEvaluator,
     K_heaviside,
     decay_bounds,
@@ -15,6 +16,8 @@ from nondini.hilbert import (
     region_bracket,
 )
 from nondini.quadrature import quad_scalar
+
+from oracles import k_htilde_per_piece
 
 PI = math.pi
 
@@ -251,7 +254,7 @@ def test_table_accuracy_and_zeros(ev_c1):
     assert vals[0] == -np.inf
     for u, v in zip(us[1:], vals[1:]):
         assert abs(v - ev_c1.k_htilde(float(u))) < 1e-9
-    # out-of-range arguments fall back to the direct formulas
+    # deep and far arguments come from their own pieces, not a fallback
     far = np.array([2.0 ** 20, -(2.0 ** 20), 2.0 ** -55])
     direct = np.array([ev_c1.k_htilde(float(u)) for u in far])
     assert np.allclose(ev_c1.k_htilde_vec(far), direct, atol=1e-12)
@@ -263,3 +266,75 @@ def test_kf_vec_consistent_with_k_profile(ev_c1):
     for x, v in zip(xs, kv):
         val, _ = ev_c1.k_profile(float(x))
         assert abs(v - val) < 1e-9
+
+
+def _mid_points(tab):
+    """Random |u| in [2^LO_EXP, 2^HI_EXP] on both signs, and every octave-piece
+    edge with its neighbours one ulp either side, kept inside that range."""
+    rng = np.random.default_rng(11)
+    mags = [2.0 ** rng.uniform(tab.LO_EXP, tab.HI_EXP, 2000)]
+    for negative in (False, True):
+        e = 2.0 ** tab.edges[3 * negative + MID]
+        mags += [e, np.nextafter(e, 0.0), np.nextafter(e, np.inf)]
+    mags = np.concatenate(mags)
+    mags = mags[(mags >= 2.0 ** tab.LO_EXP) & (mags <= 2.0 ** tab.HI_EXP)]
+    return np.concatenate([mags, -mags])
+
+
+def test_table_lookup_matches_per_piece_oracle(ev_c1):
+    tab = ev_c1.table()
+    us = _mid_points(tab)
+    assert np.array_equal(tab.eval_vec(us), k_htilde_per_piece(tab, us))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=2.0 ** -48, max_value=2.0 ** 16), st.booleans())
+def test_table_lookup_matches_per_piece_oracle_hypothesis(ev_c1, mag, negative):
+    u = np.array([-mag if negative else mag])
+    tab = ev_c1.table()
+    assert np.array_equal(tab.eval_vec(u), k_htilde_per_piece(tab, u))
+
+
+def test_kf_vec_is_the_per_jump_sum(ev_c1):
+    # batched over jumps and chunked over points, bit for bit the ascending
+    # sum of one k_htilde_vec call per jump
+    p = ev_c1.profile
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([rng.uniform(-1.0, 1.5, 1500), np.array(p.x),
+                         np.array(p.x) + 1e-20, np.array(p.x) * (1.0 + 2.0 ** -52)])
+    ref = np.zeros_like(xs)
+    for ak, xk in zip(p.a, p.x):
+        ref += ak * ev_c1.k_htilde_vec(xs - xk)
+    assert np.array_equal(ev_c1.kf_vec(xs), p.c * ref)
+    assert np.array_equal(ev_c1.kf_vec(xs.reshape(2, -1)), (p.c * ref).reshape(2, -1))
+
+
+@pytest.mark.parametrize("e", [-1074, -1030, -1000, -60, 20, 1000])
+def test_deep_and_far_pieces_match_direct(ev_c1, e):
+    us = np.array([2.0 ** e, -(2.0 ** e)])
+    vals = ev_c1.k_htilde_vec(us)
+    for u, v in zip(us, vals):
+        assert abs(v - ev_c1.k_htilde(float(u))) < 1e-12
+
+
+def test_k_htilde_finite_at_the_floor(ev_c1):
+    for u in (2.0 ** -1074, -(2.0 ** -1074)):
+        assert math.isfinite(ev_c1.k_htilde(u))
+
+
+def test_non_finite_inputs(ev_c1):
+    assert np.array_equal(ev_c1.k_htilde_vec(np.array([np.inf, -np.inf])),
+                          np.array([np.inf, np.inf]))
+    assert np.array_equal(ev_c1.kf_vec(np.array([np.inf, -np.inf])),
+                          np.array([np.inf, np.inf]))
+    with pytest.raises(ValueError, match="NaN"):
+        ev_c1.k_htilde_vec(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="NaN"):
+        ev_c1.kf_vec(np.array([0.5, np.nan]))
+
+
+def test_oracle_window_stays_clear_of_the_compensator_jump(ev_c1):
+    # the excision window around this x used to cross y = 1, where the
+    # compensator jumps, and the extrapolation stalled at 5.1e-5
+    x = 1.0009128914508851
+    assert abs(pv_quadrature_oracle(ev_c1.profile, x) - ev_c1.k_profile(x)[0]) < 1e-12

@@ -131,6 +131,33 @@ def test_log_inverse_against_mpmath():
     assert sm.value(2.0 ** -10) == pytest.approx(float(outer), rel=1e-12)
 
 
+@pytest.mark.parametrize("sm", builtin_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
+def test_scaled_forms_are_exact_rescalings(sm):
+    # scaling by a power of two changes no bit while s t is a normal double
+    t = np.geomspace(1e-6, sm.domain_hi * 0.999, 50)
+    for e in (0, -1, -40, -900):
+        s = 2.0 ** e
+        assert np.array_equal(sm.scaled_value_vec(t, s), sm.value_vec(s * t))
+        assert np.array_equal(sm.scaled_derivative_vec(t, s),
+                              s * sm.derivative_vec(s * t))
+
+
+def test_log_inverse_scaled_forms_at_the_floor():
+    # at s t = 2^-1074 the log form still matches the double average
+    # theta_tilde = (1/ln^2 2) int int ln2 / (a - al - be) dal dbe, a = ln(1/r),
+    # and r theta_tilde'(r) is the same average of ln2 / (a - al - be)^2
+    mpmath.mp.dps = 30
+    ln2 = mpmath.ln(2)
+    a = 1074 * ln2
+    val = mpmath.quad(lambda al, be: ln2 / (a - al - be), [0, ln2], [0, ln2]) / ln2 ** 2
+    slope = mpmath.quad(lambda al, be: ln2 / (a - al - be) ** 2,
+                        [0, ln2], [0, ln2]) / ln2 ** 2
+    sm = SmoothedModulus(LOG_INV)
+    t, s = np.array([2.0 ** -54]), 2.0 ** -1020
+    assert sm.scaled_value_vec(t, s)[0] == pytest.approx(float(val), rel=1e-13)
+    assert sm.scaled_derivative_vec(t, s)[0] * t[0] == pytest.approx(float(slope), rel=1e-12)
+
+
 def test_tabulated_smoothing_tracks_closed_form():
     grid = tuple((float(r), float(LN2 / -np.log(r))) for r in np.geomspace(1e-9, 0.9, 400))
     tab = SmoothedModulus(ModulusSpec("tabulated", grid=grid))
