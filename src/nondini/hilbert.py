@@ -88,8 +88,9 @@ class HilbertEvaluator:
     """Piecewise-analytic evaluator of K Htilde and K f.
 
     Pure after construction; point evaluations are memoized, and the vector
-    path uses a per-octave Chebyshev table of K Htilde (built lazily, with
-    its observed sup error against the direct formulas recorded).
+    path uses a Chebyshev table of K Htilde over every nonzero double (built
+    lazily, with its observed sup error against the direct formulas
+    recorded; see KHtildeTable).
     """
 
     profile: TangentProfile
@@ -233,7 +234,8 @@ class HilbertEvaluator:
         return self._table
 
     def k_htilde_vec(self, u) -> np.ndarray:
-        """Vectorized K Htilde with IEEE -inf at exact zeros (internal hot path)."""
+        """Vectorized K Htilde from the table (internal hot path): IEEE -inf at
+        exact zeros, +inf at +-inf; NaN raises ValueError."""
         u = np.asarray(u, dtype=float)
         if self.profile.mode != MODE_C1:
             raise ValueError("K Htilde needs a c1 profile")
