@@ -21,13 +21,11 @@ from .conformal import (
 from .halfplane import (
     HarmonicEvaluator,
     poisson_kernel,
-    poisson_of_kf_oracle,
 )
 from .hilbert import (
     HilbertEvaluator,
     K_heaviside,
     decay_bounds,
-    pv_log_integral,
     pv_quadrature_oracle,
     region_bracket,
 )
@@ -111,8 +109,6 @@ __all__ = [
     "measure_ratio",
     "pole_comparison",
     "poisson_kernel",
-    "poisson_of_kf_oracle",
-    "pv_log_integral",
     "pv_quadrature_oracle",
     "region_bracket",
     "resolution_term",

@@ -19,6 +19,14 @@ saturation point, so the range truncates to [y_min, Y] with the exact tail
 
 where the principal branch applies because Im(1 - z/y) < 0 throughout.
 
+The quadrature grades its cells toward x and toward every jump (depth
+jump_scale, which depends on z only through t and is the constant span * 1e-9
+for every t >= 1e-3 span). The cells away from x are therefore the same for
+almost every z, and the evaluator memoizes f at their Gauss nodes; a node
+whose coordinate matches one of the memo's takes its value, the others are
+evaluated. f_vec is elementwise, so A(z) is bit for bit the value of
+evaluating f at every node (tests/oracles.py keeps that rule as the oracle).
+
 Conventions: interior points are `complex` with Im z > 0 (V, W and
 g_exponent reject any other; G takes a real point as a boundary point),
 boundary points are floats, and Kf = -infinity on the singular set is IEEE
@@ -30,12 +38,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import HilbertEvaluator
 from .profile import TangentProfile, MODE_C1, MODE_LIPSCHITZ
-from .quadrature import gauss_graded, graded_edges, merge_edges
+from .quadrature import gauss_graded, gauss_nodes, graded_edges, merge_edges
 
 __all__ = [
     "HarmonicEvaluator",
@@ -43,8 +52,6 @@ __all__ = [
 ]
 
 PI = math.pi
-# truncation half-width of the direct Poisson quadrature of Kf
-_ORACLE_HALF_WIDTH = 4000.0
 
 
 def poisson_kernel(xi, t):
@@ -63,35 +70,68 @@ def _as_xt(z) -> tuple[float, float]:
     return zc.real, zc.imag
 
 
-def herglotz_transform(p: TangentProfile, x: float, t: float,
-                       tol: float = 3e-12) -> complex:
-    """A(z) = (1/pi) int f(y) [1/(y-z) - chi_{|y|>1}/y] dy for z = x + it."""
+def herglotz_transform(harm: HarmonicEvaluator, x: float, t: float) -> complex:
+    """A(z) = (1/pi) int f(y) [1/(y-z) - chi_{|y|>1}/y] dy for z = x + it.
+
+    Certified to harm.quad_tol; f is read from harm's node memo wherever a
+    Gauss node is one of the memo's, and evaluated at the other nodes.
+    """
+    p = harm.profile
     z = complex(x, t)
-    jumps = np.asarray(p.x, dtype=float)
-    y_min = float(jumps.min())
-    Y = max(p.saturation, 1.0)
+    y_min, Y = _y_range(p)
     span = Y - y_min
-
-    def fn(y):
-        comp = np.where(y > 1.0, 1.0 / y, 0.0)
-        return p.f_vec(y) * (1.0 / (y - z) - comp)
-
-    sets = [graded_edges(y_min, Y, x, max(t * 1e-2, span * 1e-14)),
-            [1.0] if y_min < 1.0 < Y else []]
     # Tip cells [x_k, x_k + w] contribute ~ theta-rise(w) * w / t when z sits
     # over the jump, so the grading depth at each jump must scale with t.
-    jump_scale = max(span * 1e-16, min(span * 1e-9, t * 1e-6))
-    for xk in jumps:
-        sets.append(graded_edges(y_min, Y, float(xk), jump_scale))
-        if p.mode == MODE_C1:
-            # f has curvature breaks at every shifted bridge knot; keeping them
-            # on cell edges preserves per-cell analyticity.
-            sets.append([float(xk) + kn for kn in p.bridge.knots
-                         if y_min < xk + kn < Y])
-    edges = merge_edges(*sets)
-    integral = gauss_graded(fn, edges, tol=tol)
+    memo = harm._node_memo(max(span * 1e-16, min(span * 1e-9, t * 1e-6)))
+    ys, fys = memo.ys, memo.fys
+
+    def fn(y):
+        i = np.minimum(np.searchsorted(ys, y), ys.size - 1)
+        fy = fys[i]
+        miss = ys[i] != y
+        fy[miss] = p.f_vec(y[miss])
+        comp = np.where(y > 1.0, 1.0 / y, 0.0)
+        return fy * (1.0 / (y - z) - comp)
+
+    edges = merge_edges(
+        graded_edges(y_min, Y, x, max(t * 1e-2, span * 1e-14)), memo.edges)
+    integral = gauss_graded(fn, edges, tol=harm.quad_tol)
     tail = -p.c_prime * cmath.log(1.0 - z / Y)
     return (integral + tail) / PI
+
+
+def _y_range(p: TangentProfile) -> tuple[float, float]:
+    """[y_min, Y]: f is 0 left of the first jump and c' from Y = max(sat, 1)."""
+    return float(min(p.x)), max(p.saturation, 1.0)
+
+
+class _NodeMemo(NamedTuple):
+    """The z-independent cells of A(z) at one jump_scale, and f at their nodes.
+
+    edges: the union of the jump gradings at jump_scale, the shifted bridge
+    knots, 1 and the ends of [y_min, Y]; ys: the sorted order-15 and order-23
+    Gauss nodes of those cells; fys: f_vec(ys).
+    """
+
+    edges: np.ndarray
+    ys: np.ndarray
+    fys: np.ndarray
+
+    @classmethod
+    def build(cls, p: TangentProfile, jump_scale: float) -> "_NodeMemo":
+        y_min, Y = _y_range(p)
+        sets = [[1.0] if y_min < 1.0 < Y else []]
+        for xk in p.x:
+            sets.append(graded_edges(y_min, Y, float(xk), jump_scale))
+            if p.mode == MODE_C1:
+                # f has curvature breaks at every shifted bridge knot; keeping
+                # them on cell edges preserves per-cell analyticity.
+                sets.append([float(xk) + kn for kn in p.bridge.knots
+                             if y_min < xk + kn < Y])
+        edges = merge_edges(*sets)
+        ys = np.unique(np.concatenate(
+            [gauss_nodes(edges[:-1], edges[1:], n).ravel() for n in (15, 23)]))
+        return cls(edges, ys, p.f_vec(ys))
 
 
 def _poisson_of_step(p: TangentProfile, x: float, t: float) -> float:
@@ -108,15 +148,20 @@ def _log_sum(p: TangentProfile, x: float, t: float) -> float:
 
 @dataclass
 class HarmonicEvaluator:
-    """V, W and G with a shared (x, t) -> A cache.
+    """V, W and G with a shared (x, t) -> A cache and a node memo of f.
 
-    Values never depend on cache state: herglotz_transform is pure, the cache
-    only skips repeated quadrature for path integration revisiting points.
+    Values never depend on cache or memo state. The cache skips repeated
+    quadrature for path integration revisiting points. The memo holds f at
+    the Gauss nodes of A(z)'s z-independent cells (_NodeMemo) for one
+    jump_scale at a time, about 0.6 MB on the default c1 profile: it is built
+    on first use and replaced when a call needs another jump_scale (t below
+    1e-3 span), at about the cost of one A(z) without it.
     """
 
     ev: HilbertEvaluator
     quad_tol: float = 3e-12
     _cache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def profile(self) -> TangentProfile:
@@ -125,9 +170,15 @@ class HarmonicEvaluator:
     def herglotz(self, x: float, t: float) -> complex:
         key = (float(x), float(t))
         if key not in self._cache:
-            self._cache[key] = herglotz_transform(self.profile, x, t,
-                                                  tol=self.quad_tol)
+            self._cache[key] = herglotz_transform(self, x, t)
         return self._cache[key]
+
+    def _node_memo(self, jump_scale: float) -> _NodeMemo:
+        """The memo entry for jump_scale, replacing the one held for another."""
+        if jump_scale not in self._memo:
+            self._memo.clear()
+            self._memo[jump_scale] = _NodeMemo.build(self.profile, jump_scale)
+        return self._memo[jump_scale]
 
     def V(self, z) -> float:
         return self.g_exponent(z).imag
@@ -162,47 +213,3 @@ class HarmonicEvaluator:
             return complex(math.inf * math.cos(theta), math.inf * math.sin(theta))
         r = math.exp(-val)
         return complex(r * math.cos(theta), r * math.sin(theta))
-
-
-def poisson_of_kf_oracle(ev: HilbertEvaluator, x: float, t: float) -> float:
-    """Direct quadrature of P_t * Kf: the independent check that -Re A = W.
-
-    Kf itself grows like (c'/pi) log|y|, whose Poisson integral is known
-    exactly ((c'/pi) log|z|), so only the remainder Kf - (c'/pi) log|y| is
-    integrated numerically over |y - x| <= L, L = 4000; it decays like 1/y,
-    making the truncation tail O(t/L^2). Kf values come from the region
-    formulas; the integrable log spikes (jump set, and the origin from the
-    subtracted log) get geometric refinement. The tail bound is checked and
-    reported if too large.
-    """
-    L = _ORACLE_HALF_WIDTH
-    if L < 8.0 * (abs(x) + t + 1.0):
-        raise ValueError(f"|x| + t too large for the 1/y tail estimate at "
-                         f"truncation half-width {L:g}")
-    p = ev.profile
-    cp = p.c_prime
-    lo, hi = x - L, x + L
-
-    def rem(y):
-        with np.errstate(divide="ignore"):
-            return ev.kf_vec(y) - (cp / PI) * np.log(np.abs(y))
-
-    def fn(y):
-        return rem(y) * poisson_kernel(y - x, t)
-
-    sets = [graded_edges(lo, hi, x, max(t * 1e-2, L * 1e-13))]
-    for s in [*p.x, 0.0]:
-        if lo < s < hi:
-            sets.append(graded_edges(lo, hi, float(s), L * 1e-13))
-    edges = merge_edges(*sets)
-    val = gauss_graded(fn, edges, tol=1e-10, max_rounds=4)
-    val += (cp / PI) * 0.5 * math.log(x * x + t * t)
-    rem_far = max(abs(float(rem(np.array([lo]))[0])),
-                  abs(float(rem(np.array([hi]))[0])))
-    # |rem(y)| <~ C/|y| with C = rem_far * L, so the two-sided tail is about
-    # C t / (pi L^2); keep a margin factor of 4.
-    tail_bound = 4.0 * rem_far * t / (PI * L)
-    if tail_bound > 1e-8:
-        raise ValueError(f"truncation tail bound {tail_bound:.2e} too large at "
-                         f"truncation half-width {L:g}")
-    return val

@@ -43,7 +43,6 @@ from .quadrature import (
 
 __all__ = [
     "HilbertEvaluator",
-    "pv_log_integral",
     "K_heaviside",
     "pv_quadrature_oracle",
     "decay_bounds",
@@ -65,15 +64,6 @@ def _rise_scale(x: float) -> float:
     integrand finite, and the clamp keeps x0/s finite (x0 <= 1/8).
     """
     return math.ldexp(1.0, max(min(math.frexp(x)[1], 0), -1020))
-
-
-def pv_log_integral(a: float, b: float, x: float) -> float:
-    """int_a^b dy/(x-y) = log|x-a| - log|x-b| for x outside [a, b]."""
-    if not a < b:
-        raise ValueError("need a < b")
-    if a <= x <= b:
-        raise ValueError("x inside [a, b]: integral is only principal-valued there")
-    return math.log(abs(x - a)) - math.log(abs(x - b))
 
 
 def K_heaviside(x: float):

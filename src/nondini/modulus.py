@@ -300,31 +300,6 @@ class SmoothedModulus:
         return quad_scalar(lambda t: inner(t, 2.0 * t) / t, r, 2.0 * r,
                            tol=self.quad_tol) / (LN2 * LN2)
 
-    # -- fully numeric cross-check path (oracle for the closed forms) --------
-
-    def value_by_quadrature(self, r: float) -> float:
-        """Nested adaptive quadrature of the double average, any kind."""
-        self._check_domain(r)
-        th = self.base.theta
-
-        def inner(t):
-            return quad_scalar(lambda u: th(t * math.exp(u)), 0.0, LN2,
-                               tol=self.quad_tol)
-
-        outer = quad_scalar(lambda v: inner(r * math.exp(v)), 0.0, LN2,
-                            tol=self.quad_tol)
-        return outer / (LN2 * LN2)
-
-    def derivative_by_quadrature(self, r: float) -> float:
-        self._check_domain(r)
-        th = self.base.theta
-
-        def j(t):
-            return quad_scalar(lambda u: th(t * math.exp(u)), 0.0, LN2,
-                               tol=self.quad_tol)
-
-        return (j(2.0 * r) - j(r)) / (r * LN2 * LN2)
-
     # -- scale selection ----------------------------------------------------
 
     def selected(self, beta: float | None = None) -> "SmoothedModulus":

@@ -31,6 +31,7 @@ from scipy.integrate import quad
 __all__ = [
     "QuadratureError",
     "gauss_rule",
+    "gauss_nodes",
     "gauss_cell_values",
     "gauss_cells",
     "graded_edges",
@@ -57,17 +58,25 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _RULE_CACHE[n]
 
 
+def gauss_nodes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The (cells, n) array of n-point Gauss nodes of the cells [a_i, b_i].
+
+    Each node depends only on its own cell's ends, so a cell gives the same
+    nodes, bit for bit, in any edge list that holds it.
+    """
+    t, _ = gauss_rule(n)
+    return a[:, None] + (t[None, :] + 1.0) * (0.5 * (b - a))[:, None]
+
+
 def gauss_cell_values(fn, a: np.ndarray, b: np.ndarray, n: int = 15) -> np.ndarray:
     """One n-point Gauss value per cell [a_i, b_i], from a single call of fn.
 
     fn is vectorized. Gauss nodes are strictly interior, so an integrable
     singularity sitting exactly on a cell edge is never evaluated.
     """
-    t, w = gauss_rule(n)
-    h = 0.5 * (b - a)
-    nodes = a[:, None] + (t[None, :] + 1.0) * h[:, None]
+    nodes = gauss_nodes(a, b, n)
     vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
-    return (vals @ w) * h
+    return (vals @ gauss_rule(n)[1]) * (0.5 * (b - a))
 
 
 def gauss_cells(fn, edges, n: int = 15):

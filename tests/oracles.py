@@ -4,7 +4,19 @@ Each one is the straightforward form of a computation the library now does
 faster; the tests compare the fast path against it.
 """
 
+import cmath
+import math
+
 import numpy as np
+
+from nondini.halfplane import poisson_kernel
+from nondini.profile import MODE_C1
+from nondini.quadrature import gauss_graded, graded_edges, merge_edges, quad_scalar
+
+PI = math.pi
+LN2 = math.log(2.0)
+# truncation half-width of the direct Poisson quadrature of Kf
+_ORACLE_HALF_WIDTH = 4000.0
 
 
 def nearest_on_segments_bruteforce(z, seg_s, seg_e):
@@ -56,3 +68,107 @@ def k_htilde_per_piece(table, u):
             sub[sel] = np.polynomial.chebyshev.chebval(w, table.coef[first + piece])
         out[mask] = sub
     return out
+
+
+def herglotz_transform_direct(p, x, t, tol=3e-12):
+    """A(z) of `halfplane.herglotz_transform` with f evaluated at every node.
+
+    Same edges, same certified rule and same kernel, but no node memo: the
+    library's value must equal this one bit for bit.
+    """
+    z = complex(x, t)
+    jumps = np.asarray(p.x, dtype=float)
+    y_min = float(jumps.min())
+    Y = max(p.saturation, 1.0)
+    span = Y - y_min
+
+    def fn(y):
+        comp = np.where(y > 1.0, 1.0 / y, 0.0)
+        return p.f_vec(y) * (1.0 / (y - z) - comp)
+
+    sets = [graded_edges(y_min, Y, x, max(t * 1e-2, span * 1e-14)),
+            [1.0] if y_min < 1.0 < Y else []]
+    jump_scale = max(span * 1e-16, min(span * 1e-9, t * 1e-6))
+    for xk in jumps:
+        sets.append(graded_edges(y_min, Y, float(xk), jump_scale))
+        if p.mode == MODE_C1:
+            sets.append([float(xk) + kn for kn in p.bridge.knots
+                         if y_min < xk + kn < Y])
+    edges = merge_edges(*sets)
+    integral = gauss_graded(fn, edges, tol=tol)
+    tail = -p.c_prime * cmath.log(1.0 - z / Y)
+    return (integral + tail) / PI
+
+
+def poisson_of_kf_oracle(ev, x, t):
+    """Direct quadrature of P_t * Kf: the independent check that -Re A = W.
+
+    Kf itself grows like (c'/pi) log|y|, whose Poisson integral is known
+    exactly ((c'/pi) log|z|), so only the remainder Kf - (c'/pi) log|y| is
+    integrated numerically over |y - x| <= L, L = 4000; it decays like 1/y,
+    making the truncation tail O(t/L^2). Kf values come from the region
+    formulas; the integrable log spikes (jump set, and the origin from the
+    subtracted log) get geometric refinement. The tail bound is checked and
+    reported if too large.
+    """
+    L = _ORACLE_HALF_WIDTH
+    if L < 8.0 * (abs(x) + t + 1.0):
+        raise ValueError(f"|x| + t too large for the 1/y tail estimate at "
+                         f"truncation half-width {L:g}")
+    p = ev.profile
+    cp = p.c_prime
+    lo, hi = x - L, x + L
+
+    def rem(y):
+        with np.errstate(divide="ignore"):
+            return ev.kf_vec(y) - (cp / PI) * np.log(np.abs(y))
+
+    def fn(y):
+        return rem(y) * poisson_kernel(y - x, t)
+
+    sets = [graded_edges(lo, hi, x, max(t * 1e-2, L * 1e-13))]
+    for s in [*p.x, 0.0]:
+        if lo < s < hi:
+            sets.append(graded_edges(lo, hi, float(s), L * 1e-13))
+    edges = merge_edges(*sets)
+    val = gauss_graded(fn, edges, tol=1e-10, max_rounds=4)
+    val += (cp / PI) * 0.5 * math.log(x * x + t * t)
+    rem_far = max(abs(float(rem(np.array([lo]))[0])),
+                  abs(float(rem(np.array([hi]))[0])))
+    # |rem(y)| <~ C/|y| with C = rem_far * L, so the two-sided tail is about
+    # C t / (pi L^2); keep a margin factor of 4.
+    tail_bound = 4.0 * rem_far * t / (PI * L)
+    if tail_bound > 1e-8:
+        raise ValueError(f"truncation tail bound {tail_bound:.2e} too large at "
+                         f"truncation half-width {L:g}")
+    return val
+
+
+def pv_log_integral(a, b, x):
+    """int_a^b dy/(x-y) = log|x-a| - log|x-b| for x outside [a, b]."""
+    if not a < b:
+        raise ValueError("need a < b")
+    if a <= x <= b:
+        raise ValueError("x inside [a, b]: integral is only principal-valued there")
+    return math.log(abs(x - a)) - math.log(abs(x - b))
+
+
+def _theta_average(sm, t):
+    """int_0^ln2 theta(t e^u) du, by adaptive quadrature."""
+    th = sm.base.theta
+    return quad_scalar(lambda u: th(t * math.exp(u)), 0.0, LN2, tol=sm.quad_tol)
+
+
+def value_by_quadrature(sm, r):
+    """theta_tilde(r) as nested adaptive quadrature of the double average,
+    any modulus kind."""
+    sm._check_domain(r)
+    outer = quad_scalar(lambda v: _theta_average(sm, r * math.exp(v)), 0.0, LN2,
+                        tol=sm.quad_tol)
+    return outer / (LN2 * LN2)
+
+
+def derivative_by_quadrature(sm, r):
+    """theta_tilde'(r) as a difference of two adaptive inner averages."""
+    sm._check_domain(r)
+    return (_theta_average(sm, 2.0 * r) - _theta_average(sm, r)) / (r * LN2 * LN2)

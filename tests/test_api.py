@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nondini
+import oracles
 
 MODULES = ("modulus", "profile", "hilbert", "halfplane", "conformal",
            "quadrature", "measure", "cli")
@@ -23,6 +24,9 @@ REMOVED = (
     "_merge_edges", "_flat_trace",
     # second forms of -inf, of interior points and of the evaluator argument
     "NEG_INF", "is_neg_inf", "_NegInfinity", "UpperHalfPoint", "_as_harm_opt",
+    # test-only oracles, now in tests/oracles.py
+    "poisson_of_kf_oracle", "_ORACLE_HALF_WIDTH", "pv_log_integral",
+    "value_by_quadrature", "derivative_by_quadrature",
 )
 
 
@@ -43,7 +47,7 @@ def test_removed_names_stay_removed(module):
 def test_removed_settings_stay_removed():
     from nondini.cli import RunConfig
     from nondini.conformal import BoundaryTrace, PathSpec, _segment_integral
-    from nondini.halfplane import HarmonicEvaluator, poisson_of_kf_oracle
+    from nondini.halfplane import HarmonicEvaluator
     from nondini.hilbert import HilbertEvaluator, KHtildeTable
     from nondini.measure import _nearest_on_segments
     from nondini.modulus import SmoothedModulus, classify_dini
@@ -82,7 +86,9 @@ def test_removed_settings_stay_removed():
     assert "n" not in params(gauss_graded)
     assert params(classify_dini) == {"spec"}
     assert "n" not in params(SmoothedModulus.derivative_sup)
-    assert "half_width" not in params(poisson_of_kf_oracle)
+    assert "half_width" not in params(oracles.poisson_of_kf_oracle)
+    assert not hasattr(SmoothedModulus, "value_by_quadrature")
+    assert not hasattr(SmoothedModulus, "derivative_by_quadrature")
     assert list(inspect.signature(_nearest_on_segments).parameters) == [
         "z", "seg_s", "seg_e"]
     assert not hasattr(HarmonicEvaluator, "boundary_arg")

@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini.hilbert import HilbertEvaluator
-from nondini.halfplane import (
-    HarmonicEvaluator,
-    herglotz_transform,
-    poisson_kernel,
-    poisson_of_kf_oracle,
-)
-from nondini.quadrature import quad_scalar
+from nondini.halfplane import HarmonicEvaluator, herglotz_transform, poisson_kernel
+from nondini.quadrature import QuadratureError
+
+from oracles import herglotz_transform_direct, poisson_of_kf_oracle
 
 PI = math.pi
 
@@ -149,9 +146,9 @@ def test_c1_W_diverges_at_jump_like_log(harm_c1):
 
 def test_extend_functions_match_evaluator(harm_c1):
     z = complex(0.3, 0.5)
-    a = herglotz_transform(harm_c1.profile, z.real, z.imag)
-    assert harm_c1.V(z) == pytest.approx(a.imag, abs=1e-12)
-    assert harm_c1.W(z) == pytest.approx(-a.real, abs=1e-12)
+    a = herglotz_transform_direct(harm_c1.profile, z.real, z.imag)
+    assert harm_c1.V(z) == a.imag
+    assert harm_c1.W(z) == -a.real
     assert harm_c1.V(z) == harm_c1.g_exponent(z).imag
     with pytest.raises(ValueError):
         harm_c1.W(complex(0.3, -0.5))
@@ -256,3 +253,58 @@ def test_cache_does_not_change_values(harm_c1):
     z = complex(0.3, 0.5)
     assert harm_c1.W(z) == fresh.W(z)
     assert HarmonicEvaluator(harm_c1.ev).G(z) == pytest.approx(harm_c1.G(z), abs=1e-14)
+    # t = 1e-4 grades the jumps more finely than t = 0.5, so the node memo is
+    # replaced twice; every value is the one a fresh evaluator gives
+    h = HarmonicEvaluator(harm_c1.ev)
+    zs = [complex(0.7, 0.5), complex(0.7, 1e-4), complex(-0.2, 0.5)]
+    assert [h.g_exponent(z) for z in zs] == [
+        HarmonicEvaluator(harm_c1.ev).g_exponent(z) for z in zs]
+    p = harm_c1.profile
+    span = max(p.saturation, 1.0) - min(p.x)
+    assert list(h._memo) == [span * 1e-9]
+
+
+# -- A(z) from the node memo equals the per-node rule bit for bit -------------
+
+def _assert_matches_direct(p, points):
+    h = HarmonicEvaluator(HilbertEvaluator(p))
+    for x, t in points:
+        assert herglotz_transform(h, x, t) == herglotz_transform_direct(p, x, t), (x, t)
+
+
+def test_herglotz_memo_bitwise_random(harm_c1):
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-2.0, 3.0, 200)
+    ts = rng.uniform(0.05, 2.0, 200)
+    _assert_matches_direct(harm_c1.profile, zip(xs, ts))
+
+
+def test_herglotz_memo_bitwise_near_boundary(harm_c1):
+    p = harm_c1.profile
+    x1, x2 = p.x[0], p.x[1]
+    assert (x1, x2) == (0.5, 0.25)
+    _assert_matches_direct(p, [(x, 1e-4) for x in (-0.7, 0.3, 1.3)]
+                           + [(x, t) for x in (x1, x2) for t in (1e-5, 1e-7)])
+
+
+def test_herglotz_memo_bitwise_lipschitz(harm_lip):
+    _assert_matches_direct(harm_lip.profile,
+                           [(0.3, 0.5), (-1.0, 0.25), (0.5, 1e-3), (2.0, 3.0)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=st.floats(-3.0, 3.0), t=st.floats(1e-3, 10.0))
+def test_herglotz_memo_bitwise_everywhere(harm_c1, x, t):
+    assert herglotz_transform(harm_c1, x, t) == herglotz_transform_direct(
+        harm_c1.profile, x, t)
+
+
+def test_herglotz_stall_is_unchanged(harm_c1):
+    # at t = 1e-14 over x_1 the graded rule cannot certify 3e-12; the memo
+    # path raises with the same measured error as the per-node rule
+    h = HarmonicEvaluator(harm_c1.ev)
+    msg = "graded rule stalled at 8.101e-06"
+    with pytest.raises(QuadratureError, match=msg):
+        herglotz_transform(h, 0.5, 1e-14)
+    with pytest.raises(QuadratureError, match=msg):
+        herglotz_transform_direct(harm_c1.profile, 0.5, 1e-14)

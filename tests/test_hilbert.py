@@ -11,13 +11,12 @@ from nondini.hilbert import (
     HilbertEvaluator,
     K_heaviside,
     decay_bounds,
-    pv_log_integral,
     pv_quadrature_oracle,
     region_bracket,
 )
 from nondini.quadrature import quad_scalar
 
-from oracles import k_htilde_per_piece
+from oracles import k_htilde_per_piece, pv_log_integral
 
 PI = math.pi
 
