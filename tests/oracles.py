@@ -1,7 +1,9 @@
-"""Slow reference implementations that the library's fast paths replace.
+"""Reference implementations that the tests compare the library against.
 
-Each one is the straightforward form of a computation the library now does
-faster; the tests compare the fast path against it.
+Most are the straightforward form of a computation the library now does
+faster (the fast path must match them); the others are independent checks
+of a closed form or an identity (the Poisson integral of Kf, the
+nested-quadrature smoothed modulus, the elementary log integral).
 """
 
 import cmath
