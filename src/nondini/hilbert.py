@@ -241,16 +241,7 @@ class HilbertEvaluator:
                 with np.errstate(divide="ignore"):
                     out += ak * np.log(np.abs(xs - xk))
             return p.c * out / PI
-        # one k_htilde_vec call per chunk of points, summed in ascending k
-        flat = xs.ravel()
-        out = np.zeros(flat.size)
-        jumps = np.asarray(p.x, dtype=float)[:, None]
-        step = max(1, _KF_CHUNK // len(p.x))
-        for i in range(0, flat.size, step):
-            vals = self.k_htilde_vec(flat[None, i:i + step] - jumps)
-            for ak, row in zip(p.a, vals):
-                out[i:i + step] += ak * row
-        return p.c * out.reshape(xs.shape)
+        return p._jump_sum(self.k_htilde_vec, xs, _KF_CHUNK)
 
     def k_profile(self, x: float):
         """(K f(x), -inf at a jump; regular part without the nearest jump's term)."""
@@ -434,26 +425,41 @@ class KHtildeTable:
 
       deep, 2^MIN_EXP <= |u| < 2^LO_EXP:  one piece in s = log2(-log2|u|),
           where K Htilde ~ -(ln 2/pi) ln ln(1/|u|) + const is smooth;
-      mid, 2^LO_EXP <= |u| <= 2^HI_EXP:   octaves of v = log2|u|, split at the
-          Htilde knots and geometrically refined toward x_star (and x0, and
-          any interior bridge knot) where K has weak (u-knot)^2 log|u-knot|
-          endpoint behavior;
+      mid, 2^LO_EXP <= |u| <= 2^HI_EXP:   pieces in v = log2|u| whose widths
+          follow the function (below);
       far, |u| > 2^HI_EXP:                one piece in t = 2^HI_EXP/|u| of
           pi K Htilde(u) - log|u|, which vanishes like 1/u.
+
+    Mid layout: away from the Htilde knots K Htilde is analytic in v (on the
+    negative branch its nearest singularities sit pi/ln 2 off the real
+    axis), so the a-priori pieces are wide, with ends at v = LO_EXP,
+    MID_EXPS and HI_EXP. The positive branch adds every bridge knot and the
+    points knot +- span * KNOT_RATIO^-j, j = 0..KNOT_LEVELS (span =
+    x_star - x0), pieces geometric in the distance to a knot, where K has
+    weak (u-knot)^2 log|u-knot| endpoint behavior. A piece is kept when the
+    largest of its last three Chebyshev coefficients is at most TAIL_TOL;
+    otherwise it is halved in v and both halves are refit. A piece that
+    fails while no wider than the narrowest a-priori piece raises
+    QuadratureError with its tail.
 
     Every coefficient row sits in one (pieces x (DEG+1)) array, so a lookup
     gathers rows by piece index and runs one Clenshaw recurrence over all
     points. Exact zeros map to IEEE -inf and +-inf to +inf; NaN raises
     ValueError. There is no fallback: the direct region formulas are only
     the fitting data. Construction samples N_CHECK random points over the
-    three zones of both branches, and +-2^MIN_EXP, and records the observed
-    sup error against the direct evaluator, which must stay below CHECK_TOL.
+    three zones of both branches, one point in every mid piece of each
+    branch, and +-2^MIN_EXP, and records the observed sup error against the
+    direct evaluator, which must stay below CHECK_TOL.
     """
 
     DEG = 23
     MIN_EXP = -1074
     LO_EXP = -48
     HI_EXP = 16
+    MID_EXPS = (-32, -24, -16, -8, 0, 4, 8, 12)
+    KNOT_RATIO = 4.0
+    KNOT_LEVELS = 8
+    TAIL_TOL = 2e-15
     N_CHECK = 160
     CHECK_TOL = 1e-8
 
@@ -486,24 +492,21 @@ class KHtildeTable:
         return v
 
     @classmethod
-    def build(cls, ev: HilbertEvaluator) -> "KHtildeTable":
-        x0, xs = ev.bridge.x0, ev.bridge.x_star
-        exps = range(cls.LO_EXP, cls.HI_EXP + 1)
+    def _mid_layout(cls, ev: HilbertEvaluator) -> tuple[np.ndarray, np.ndarray]:
+        """A-priori mid piece ends in v, for u > 0 and for u < 0."""
+        wide = {float(e) for e in (cls.LO_EXP, *cls.MID_EXPS, cls.HI_EXP)}
         u_lo, u_hi = 2.0 ** cls.LO_EXP, 2.0 ** cls.HI_EXP
-        splits = {2.0 ** e for e in exps}
-        span = xs - x0
+        span = ev.bridge.x_star - ev.bridge.x0
+        near = set()
         for knot in ev.bridge.knots:
-            for j in range(0, 17):
-                for s in (knot - span * 2.0 ** -j, knot + span * 2.0 ** -j):
-                    if u_lo < s < u_hi:
-                        splits.add(s)
-            if u_lo < knot < u_hi:
-                splits.add(knot)
-        deep = np.log2([-cls.LO_EXP, -cls.MIN_EXP])
-        far = np.array([0.0, 1.0])
-        edges = [deep, np.log2(np.array(sorted(splits))), far,
-                 deep, np.array([float(e) for e in exps]), far]
+            for j in range(cls.KNOT_LEVELS + 1):
+                d = span * cls.KNOT_RATIO ** -j
+                near.update(s for s in (knot - d, knot, knot + d) if u_lo < s < u_hi)
+        positive = wide | {float(v) for v in np.log2(sorted(near))}
+        return np.array(sorted(positive)), np.array(sorted(wide))
 
+    @classmethod
+    def build(cls, ev: HilbertEvaluator) -> "KHtildeTable":
         nodes = np.cos(np.pi * (np.arange(cls.DEG + 1) + 0.5) / (cls.DEG + 1))
 
         def fit(group, lo, hi):
@@ -521,11 +524,45 @@ class KHtildeTable:
                 vals = PI * vals - np.log(au)
             return np.polynomial.chebyshev.chebfit(w, vals, cls.DEG)
 
-        coef = np.array([fit(g, lo, hi) for g, e in enumerate(edges)
-                         for lo, hi in zip(e[:-1], e[1:])])
-        table = cls(edges, coef, 0.0)
+        layout = cls._mid_layout(ev)
+        floor = min(float(np.min(np.diff(e))) for e in layout)
 
-        # per branch: random points in each zone's variable, and 2^MIN_EXP
+        def fit_mid(group, ends):
+            """Kept (piece ends, coefficient rows) of a mid group, halving in v
+            every piece whose Chebyshev tail exceeds TAIL_TOL."""
+            kept, rows = [ends[0]], []
+            todo = list(zip(ends[:-1], ends[1:]))[::-1]
+            while todo:
+                lo, hi = todo.pop()
+                c = fit(group, lo, hi)
+                tail = float(np.max(np.abs(c[-3:])))
+                if tail <= cls.TAIL_TOL:
+                    kept.append(hi)
+                    rows.append(c)
+                elif hi - lo <= floor:
+                    raise QuadratureError(
+                        f"K Htilde table: Chebyshev tail {tail:.3e} > {cls.TAIL_TOL:.1e} "
+                        f"on the innermost piece [{lo!r}, {hi!r}] of log2|u| (u "
+                        f"{'< 0' if group >= 3 else '> 0'})")
+                else:
+                    mid = 0.5 * (lo + hi)
+                    todo += [(mid, hi), (lo, mid)]
+            return np.array(kept), rows
+
+        deep = np.log2([-cls.LO_EXP, -cls.MIN_EXP])
+        far = np.array([0.0, 1.0])
+        edges, coef = [], []
+        for group, e in enumerate([deep, layout[0], far, deep, layout[1], far]):
+            if group % 3 == MID:
+                e, rows = fit_mid(group, e)
+            else:
+                rows = [fit(group, e[0], e[1])]
+            edges.append(e)
+            coef.extend(rows)
+        table = cls(edges, np.array(coef), 0.0)
+
+        # per branch: random points in each zone's variable, and 2^MIN_EXP;
+        # then one random point in every mid piece of each branch
         rng = np.random.default_rng(123456789)
         q = cls.N_CHECK // 16
         mags = np.concatenate([
@@ -534,7 +571,9 @@ class KHtildeTable:
             2.0 ** cls.HI_EXP / rng.uniform(0.0, 1.0, q),
             [2.0 ** cls.MIN_EXP],
         ])
-        us = np.concatenate([mags, -mags])
+        pieces = [sign * 2.0 ** rng.uniform(e[:-1], e[1:])
+                  for sign, e in ((1.0, edges[MID]), (-1.0, edges[3 + MID]))]
+        us = np.concatenate([mags, -mags, *pieces])
         direct = np.array([ev.k_htilde(float(u)) for u in us])
         err = float(np.max(np.abs(table.eval_vec(us) - direct)))
         if not err <= cls.CHECK_TOL:

@@ -27,6 +27,11 @@ __all__ = [
 
 MODE_LIPSCHITZ = "lipschitz"
 MODE_C1 = "c1"
+# elements of the (jumps x points) matrix that f_vec and fprime_vec hand to
+# one htilde_vec / htilde_slope_vec call; 96 KB blocks keep every temporary
+# under glibc's default 128 KiB mmap threshold, which measured faster than
+# larger blocks
+_F_CHUNK = 12288
 
 
 @dataclass(frozen=True)
@@ -247,16 +252,35 @@ class TangentProfile:
 
     # -- evaluation ----------------------------------------------------------
 
-    def f_vec(self, xs) -> np.ndarray:
+    def _jump_sum(self, fn, xs, chunk: int) -> np.ndarray:
+        """c * sum_k a_k fn(xs - x_k), summed in ascending k.
+
+        fn takes a (jumps x points) matrix of shifted arguments of about
+        `chunk` elements: all jumps at once for few points, so that its fixed
+        cost is paid once rather than once per jump, and blocks of `chunk`
+        points one jump at a time for many.
+        """
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
+        flat = xs.ravel()
+        out = np.zeros(flat.size)
+        jumps = np.asarray(self.x, dtype=float)[:, None]
+        step = max(1, min(flat.size, chunk))
+        rows = max(1, chunk // step)
+        for i in range(0, flat.size, step):
+            for j in range(0, len(self.x), rows):
+                vals = fn(flat[None, i:i + step] - jumps[j:j + rows])
+                for ak, row in zip(self.a[j:j + rows], vals):
+                    out[i:i + step] += ak * row
+        return self.c * out.reshape(xs.shape)
+
+    def f_vec(self, xs) -> np.ndarray:
         if self.mode == MODE_LIPSCHITZ:
+            xs = np.asarray(xs, dtype=float)
+            out = np.zeros_like(xs)
             for ak, xk in zip(self.a, self.x):
                 out += ak * (xs >= xk)
-        else:
-            for ak, xk in zip(self.a, self.x):
-                out += ak * htilde_vec(self.sm, self.bridge, xs - xk)
-        return self.c * out
+            return self.c * out
+        return self._jump_sum(lambda u: htilde_vec(self.sm, self.bridge, u), xs, _F_CHUNK)
 
     def f(self, x: float) -> float:
         return float(self.f_vec(np.array([x]))[0])
@@ -265,11 +289,8 @@ class TangentProfile:
         """Analytic df/dx away from the jump set (c1 mode only)."""
         if self.mode != MODE_C1:
             raise ValueError("fprime is only defined for the c1 profile")
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        for ak, xk in zip(self.a, self.x):
-            out += ak * htilde_slope_vec(self.sm, self.bridge, xs - xk)
-        return self.c * out
+        return self._jump_sum(lambda u: htilde_slope_vec(self.sm, self.bridge, u), xs,
+                             _F_CHUNK)
 
 
 def jump_amplitudes(rule: str, n: int) -> tuple[float, ...]:

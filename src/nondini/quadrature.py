@@ -17,7 +17,8 @@ planner serve all of them:
   singular locations so that every piece has at most one singular end.
 
 `quad_complex` (adaptive Gauss-Kronrod) covers complex line integrals in the
-interior, and `quad_scalar` is scipy's quad with its error estimate checked.
+interior, and `quad_scalar` is scipy's quad with its error estimate checked
+(scipy is imported on that call only: no other path needs it).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import heapq
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "QuadratureError",
@@ -268,6 +268,8 @@ def quad_complex(fn, a: float, b: float, tol: float = 1e-12):
 def quad_scalar(fn, a, b, tol: float = 1e-10) -> float:
     """scipy.integrate.quad (at most 300 subintervals) with the error estimate
     promoted to an exception."""
+    from scipy.integrate import quad
+
     y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=300)
     if err > 100.0 * max(tol, tol * abs(y)) + 1e-15:
         raise QuadratureError(f"quad error estimate {err:.3e} exceeds tol {tol:.3e}")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from nondini.halfplane import poisson_kernel
-from nondini.profile import MODE_C1
+from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import gauss_graded, graded_edges, merge_edges, quad_scalar
 
 PI = math.pi
@@ -48,9 +48,21 @@ def nearest_on_segments_bruteforce(z, seg_s, seg_e):
     return dist, idx, ts
 
 
+def f_per_jump(p, xs, slope=False):
+    """c1 f (or f' with slope=True) as one htilde pass per jump, summed in
+    ascending k: the library's single pass over all jumps must equal it bit
+    for bit."""
+    fn = htilde_slope_vec if slope else htilde_vec
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros_like(xs)
+    for ak, xk in zip(p.a, p.x):
+        out += ak * fn(p.sm, p.bridge, xs - xk)
+    return p.c * out
+
+
 def k_htilde_per_piece(table, u):
-    """K Htilde on 2^LO_EXP <= |u| <= 2^HI_EXP from the table's octave
-    pieces, one `chebval` call per piece and sign branch."""
+    """K Htilde on 2^LO_EXP <= |u| <= 2^HI_EXP from the table's mid pieces,
+    one `chebval` call per piece and sign branch."""
     from nondini.hilbert import MID
 
     u = np.asarray(u, dtype=float)

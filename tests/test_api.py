@@ -4,6 +4,9 @@ aliases, duplicate rules and unused settings stay removed."""
 import dataclasses
 import importlib
 import inspect
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,3 +95,14 @@ def test_removed_settings_stay_removed():
     assert list(inspect.signature(_nearest_on_segments).parameters) == [
         "z", "seg_s", "seg_e"]
     assert not hasattr(HarmonicEvaluator, "boundary_arg")
+
+
+def test_import_loads_no_scipy():
+    # scipy is only imported by quad_scalar, which only the tabulated
+    # modulus kind calls
+    src = str(pathlib.Path(nondini.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nondini, nondini.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

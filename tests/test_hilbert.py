@@ -9,12 +9,13 @@ from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini.hilbert import (
     MID,
     HilbertEvaluator,
+    KHtildeTable,
     K_heaviside,
     decay_bounds,
     pv_quadrature_oracle,
     region_bracket,
 )
-from nondini.quadrature import quad_scalar
+from nondini.quadrature import QuadratureError, quad_scalar
 
 from oracles import k_htilde_per_piece, pv_log_integral
 
@@ -268,7 +269,7 @@ def test_kf_vec_consistent_with_k_profile(ev_c1):
 
 
 def _mid_points(tab):
-    """Random |u| in [2^LO_EXP, 2^HI_EXP] on both signs, and every octave-piece
+    """Random |u| in [2^LO_EXP, 2^HI_EXP] on both signs, and every mid-piece
     edge with its neighbours one ulp either side, kept inside that range."""
     rng = np.random.default_rng(11)
     mags = [2.0 ** rng.uniform(tab.LO_EXP, tab.HI_EXP, 2000)]
@@ -278,6 +279,44 @@ def _mid_points(tab):
     mags = np.concatenate(mags)
     mags = mags[(mags >= 2.0 ** tab.LO_EXP) & (mags <= 2.0 ** tab.HI_EXP)]
     return np.concatenate([mags, -mags])
+
+
+def test_mid_layout_accuracy(ev_c1):
+    # the dense sample knot +- span 2^-j / 2, j < 40, on both sides of every
+    # bridge knot, where the mid pieces are narrowest, and random mid-zone
+    # points on both signs, against the direct region formulas
+    tab = ev_c1.table()
+    b = ev_c1.bridge
+    d = (b.x_star - b.x0) * 2.0 ** -np.arange(40) / 2.0
+    near = np.concatenate([np.concatenate([k - d, k + d]) for k in b.knots])
+    rng = np.random.default_rng(21)
+    mags = 2.0 ** rng.uniform(tab.LO_EXP, tab.HI_EXP, 300)
+    us = np.concatenate([near, mags, -mags])
+    direct = np.array([ev_c1.k_htilde(float(u)) for u in us])
+    assert np.max(np.abs(tab.eval_vec(us) - direct)) <= 5e-15
+    # every kept mid piece passed the tail test, and the self-check held
+    rows = np.concatenate([tab.coef[tab.first[g]:tab.first[g] + len(tab.edges[g]) - 1]
+                           for g in (MID, 3 + MID)])
+    assert np.max(np.abs(rows[:, -3:])) <= tab.TAIL_TOL
+    assert tab.max_err <= 1e-14
+
+
+def test_mid_pieces_refine_the_a_priori_layout(ev_c1):
+    tab = ev_c1.table()
+    for negative, ends in enumerate(KHtildeTable._mid_layout(ev_c1)):
+        kept = tab.edges[3 * negative + MID]
+        assert set(ends.tolist()) <= set(kept.tolist())
+        assert np.all(np.diff(kept) > 0.0)
+
+
+def test_mid_tail_failure_raises_with_the_tail(ev_c1):
+    # a tail no piece can meet is halved down to the innermost width, then
+    # reported, never accepted
+    class Strict(KHtildeTable):
+        TAIL_TOL = 1e-30
+
+    with pytest.raises(QuadratureError, match=r"Chebyshev tail \d\.\d{3}e-\d+ > 1\.0e-30"):
+        Strict.build(ev_c1)
 
 
 def test_table_lookup_matches_per_piece_oracle(ev_c1):

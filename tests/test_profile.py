@@ -14,6 +14,8 @@ from nondini.profile import (
     modulus_at_origin,
 )
 
+from oracles import f_per_jump
+
 LN2 = math.log(2.0)
 
 
@@ -179,6 +181,22 @@ def test_profile_fprime_matches_fd(profile_c1):
     fd = (profile_c1.f_vec(xs + h) - profile_c1.f_vec(xs - h)) / (2 * h)
     an = profile_c1.fprime_vec(xs)
     assert np.max(np.abs(fd - an)) < 1e-5
+
+
+def test_f_vec_is_the_per_jump_sum(profile_c1):
+    # one htilde pass over the (jumps x points) matrix, summed in ascending
+    # k, is bit for bit one pass per jump; 70,000 points take the path that
+    # splits the points into blocks, the rest the one that groups the jumps
+    p = profile_c1
+    rng = np.random.default_rng(13)
+    jumps = np.array(p.x)
+    knots = (jumps[:, None] + np.array(p.bridge.knots)[None, :]).ravel()
+    xs = np.concatenate([rng.uniform(-1.0, 1.5, 1500), jumps, jumps + 1e-20,
+                         jumps - 1e-20, jumps * (1.0 + 2.0 ** -52), knots])
+    for pts in (xs, xs.reshape(2, -1), np.array(0.3), rng.uniform(-1.0, 1.5, 70000)):
+        assert np.array_equal(p.f_vec(pts), f_per_jump(p, pts))
+        assert np.array_equal(p.fprime_vec(pts), f_per_jump(p, pts, slope=True))
+    assert p.f_vec(np.array(0.3)).shape == ()
 
 
 def test_profile_validation():
