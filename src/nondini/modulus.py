@@ -232,7 +232,7 @@ class SmoothedModulus:
             d2 = (b * np.log1p(-LN2 * LN2 / (b * b))
                   + LN2 * (np.log1p(LN2 / b) - np.log1p(-LN2 / b)))
             return d2 / LN2
-        return np.array([self._tab_value(x) for x in np.atleast_1d(s * t)])
+        return np.array([self._tab_value(x) for x in np.ravel(s * t)]).reshape(t.shape)
 
     def derivative(self, r: float) -> float:
         self._check_domain(r)
@@ -263,11 +263,11 @@ class SmoothedModulus:
             b = _neg_log(t, s) - LN2
             return -np.log1p(-LN2 * LN2 / (b * b)) / (t * LN2)
         out = []
-        for x, tx in zip(np.atleast_1d(s * t), np.atleast_1d(t)):
+        for x, tx in zip(np.ravel(s * t), t.ravel()):
             j1 = self._tab_int_over_s(x, 2.0 * x)
             j2 = self._tab_int_over_s(2.0 * x, 4.0 * x)
             out.append((j2 - j1) / (tx * LN2 * LN2))
-        return np.array(out)
+        return np.array(out).reshape(t.shape)
 
     def derivative_sup(self, a: float, b: float) -> float:
         """max of theta_tilde' over [a, b] via a 65-point geometric sample grid.

@@ -30,6 +30,8 @@ REMOVED = (
     # test-only oracles, now in tests/oracles.py
     "poisson_of_kf_oracle", "_ORACLE_HALF_WIDTH", "pv_log_integral",
     "value_by_quadrature", "derivative_by_quadrature",
+    # hand-written copies of the run config, now read off its dataclasses
+    "_SCHEMA", "_check_keys", "config_to_doc",
 )
 
 
@@ -69,6 +71,9 @@ def test_removed_settings_stay_removed():
         return set(inspect.signature(fn).parameters)
 
     assert "tail_tol" not in fields(RunConfig) | fields(TangentProfile)
+    # the theta and trace keys live in their sections, not flat in RunConfig
+    assert not {"theta_kind", "theta_c", "theta_gamma",
+                "x_lo", "x_hi", "base_n"} & fields(RunConfig)
     assert "tail_tol" not in params(build_profile)
     assert "level" not in fields(BoundaryTrace)
     # a path reaches a jump along the boundary, not by a per-segment rule

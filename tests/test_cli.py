@@ -1,14 +1,17 @@
 """Tests for the command-line front end: config handling, commands, artifacts."""
 
+import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
 from nondini.cli import (
     DEFAULT_CONFIG,
     RunConfig,
-    config_to_doc,
+    ThetaConfig,
+    TraceConfig,
     main,
     parse_config,
 )
@@ -22,16 +25,41 @@ def run_cli(*args) -> int:
 # -- configuration ---------------------------------------------------------------
 
 
+def _leaves(doc, prefix=""):
+    """{dotted key: value} of a config document."""
+    out = {}
+    for k, v in doc.items():
+        out.update(_leaves(v, f"{prefix}{k}.") if isinstance(v, dict)
+                   else {prefix + k: v})
+    return out
+
+
 def test_config_round_trip_default():
-    doc = config_to_doc(DEFAULT_CONFIG)
+    doc = dataclasses.asdict(DEFAULT_CONFIG)
     assert parse_config(json.loads(json.dumps(doc))) == DEFAULT_CONFIG
 
 
 def test_config_round_trip_modified():
-    cfg = RunConfig(mode="lipschitz", K=5, c_prime_target=0.8,
-                    mc=MCConfig(n_walkers=1234, seed=9, wos_epsilon=1e-5),
-                    x_lo=-2.0, x_hi=3.0, base_n=77, out_dir="elsewhere")
-    assert parse_config(json.loads(json.dumps(config_to_doc(cfg)))) == cfg
+    cfg = RunConfig(theta=ThetaConfig(kind="power", c=0.2, gamma=0.5),
+                    mode="lipschitz", c_prime_target=0.8,
+                    amplitude_rule="uniform", K=5, beta=0.25, quad_tol=1e-8,
+                    trace=TraceConfig(x_lo=-2.0, x_hi=3.0, base_n=77),
+                    mc=MCConfig(n_walkers=1234, seed=9, wos_epsilon=1e-5,
+                                max_steps=500, far_radius=100.0),
+                    out_dir="elsewhere")
+    doc = dataclasses.asdict(cfg)
+    default = _leaves(dataclasses.asdict(DEFAULT_CONFIG))
+    assert len(default) == 18
+    assert all(v != default[k] for k, v in _leaves(doc).items())
+    assert parse_config(json.loads(json.dumps(doc))) == cfg
+
+
+def test_readme_config_is_the_default():
+    # the README's full document is the echo of DEFAULT_CONFIG, key for key
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```json\n")[1].split("```")[0]  # its one JSON block
+    assert json.loads(block) == dataclasses.asdict(DEFAULT_CONFIG)
+    assert parse_config(json.loads(block)) == DEFAULT_CONFIG
 
 
 def test_config_rejects_unknown_keys():
@@ -55,6 +83,15 @@ def test_config_rejects_wrong_types():
         parse_config({"mode": 5})
     with pytest.raises(ValueError, match="expected a number"):
         parse_config({"beta": "half"})
+    # json.load reads NaN and Infinity; no config number may be non-finite
+    for text, key in (('{"trace": {"x_hi": Infinity}}', "trace.x_hi"),
+                      ('{"mc": {"wos_epsilon": Infinity}}', "mc.wos_epsilon"),
+                      ('{"theta": {"kind": "constant", "c": NaN}}', "theta.c"),
+                      ('{"beta": -Infinity}', "beta"),
+                      ('{"quad_tol": 1%s}' % ("0" * 400), "quad_tol")):
+        with pytest.raises(ValueError,
+                           match=f"config key {key}: expected a finite number"):
+            parse_config(json.loads(text))
 
 
 def test_config_validation():
@@ -65,9 +102,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="beta"):
         RunConfig(beta=1.5)
     with pytest.raises(ValueError, match="straddle 0"):
-        RunConfig(x_lo=0.5)
+        RunConfig(trace=TraceConfig(x_lo=0.5))
     with pytest.raises(ValueError, match="base_n"):
-        RunConfig(base_n=1)
+        RunConfig(trace=TraceConfig(base_n=1))
     with pytest.raises(ValueError, match="tolerances"):
         RunConfig(quad_tol=-1.0)
     with pytest.raises(ValueError, match="unknown mode"):
@@ -84,19 +121,24 @@ def test_config_rejects_values_no_command_reads(tmp_path, capsys):
     with pytest.raises(ValueError, match="gamma > 0"):
         parse_config({"theta": {"kind": "power", "gamma": -1.0}})
     assert parse_config({"amplitude_rule": "uniform"}).amplitude_rule == "uniform"
+    # sections are built before the keys beside them are checked, so with
+    # both faults the theta section's is reported; each alone is reported too
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"amplitude_rule": "bogus",
-                                "theta": {"kind": "nope"}}))
-    assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
-                   "appendix-check") == 1
-    assert "amplitude rule" in capsys.readouterr().err
+    for doc, err in (({"amplitude_rule": "bogus", "theta": {"kind": "nope"}},
+                      "modulus kind"),
+                     ({"amplitude_rule": "bogus"}, "amplitude rule")):
+        path.write_text(json.dumps(doc))
+        assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
+                       "appendix-check") == 1
+        assert err in capsys.readouterr().err
 
 
 def test_partial_config_uses_defaults():
     cfg = parse_config({"mode": "lipschitz", "K": 3})
     assert cfg.mode == "lipschitz"
     assert cfg.K == 3
-    assert cfg.theta_kind == DEFAULT_CONFIG.theta_kind
+    assert cfg.theta == DEFAULT_CONFIG.theta
+    assert cfg.trace == DEFAULT_CONFIG.trace
     assert cfg.mc == DEFAULT_CONFIG.mc
 
 

@@ -167,6 +167,15 @@ def test_tabulated_smoothing_tracks_closed_form():
     for r in (2.0 ** -10, 2.0 ** -6):
         assert tab.value(r) == pytest.approx(ref.value(r), rel=1e-4)
         assert tab.derivative(r) == pytest.approx(ref.derivative(r), rel=1e-3)
+    # any input shape comes back in that shape, as for the builtin kinds
+    rs = np.array([[2.0 ** -10, 2.0 ** -8], [2.0 ** -7, 2.0 ** -6]])
+    for vec, scalar in ((tab.value_vec, tab.value),
+                        (tab.derivative_vec, tab.derivative)):
+        out = vec(rs)
+        assert out.shape == (2, 2)
+        assert out[1, 0] == scalar(2.0 ** -7)
+        assert vec(np.array(2.0 ** -6)).shape == ()
+        assert vec(np.array(2.0 ** -6)) == out[1, 1]
 
 
 # -- sandwich / monotonicity / derivative-bound invariants -----------------
