@@ -16,9 +16,10 @@ planner serve all of them:
 * `split_plan`, the singular-split planner: it cuts an interval at the
   singular locations so that every piece has at most one singular end.
 
-`quad_complex` (adaptive Gauss-Kronrod) covers complex line integrals in the
-interior, and `quad_scalar` is scipy's quad with its error estimate checked
-(scipy is imported on that call only: no other path needs it).
+`quad_complex` (adaptive Gauss-Kronrod, one call of a vectorized integrand
+per cell) covers complex line integrals in the interior, and `quad_scalar`
+is scipy's quad with its error estimate checked (scipy is imported on that
+call only: no other path needs it).
 """
 
 from __future__ import annotations
@@ -228,19 +229,21 @@ _GK_MAX_SPLITS = 400
 def _gk15(fn, a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = np.array([fn(mid + half * t) for t in _XK])
+    vals = np.asarray(fn(mid + half * _XK))
     ik = half * np.sum(_WK * vals)
     ig = half * np.sum(_WG * vals[_G_IDX])
     return ik, abs(ik - ig)
 
 
 def quad_complex(fn, a: float, b: float, tol: float = 1e-12):
-    """Adaptive Gauss-Kronrod integration of a scalar (possibly complex) fn.
+    """Adaptive Gauss-Kronrod integration of a vectorized (possibly complex) fn.
 
-    Returns (value, error_estimate); raises QuadratureError past 400
-    subdivisions. Interval endpoints are never evaluated exactly unless they
-    coincide with a Kronrod node image, so mild endpoint singularities that are
-    merely large (not NaN) integrate cleanly.
+    fn is called once per cell with the array of that cell's 15 Kronrod
+    nodes and returns their 15 values; the nodes and the sums are those of
+    evaluating fn node by node. Returns (value, error_estimate); raises
+    QuadratureError past 400 subdivisions. Interval endpoints are never
+    evaluated exactly unless they coincide with a Kronrod node image, so mild
+    endpoint singularities that are merely large (not NaN) integrate cleanly.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from nondini.halfplane import poisson_kernel
+from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import gauss_graded, graded_edges, merge_edges, quad_scalar
 
@@ -84,11 +84,41 @@ def k_htilde_per_piece(table, u):
     return out
 
 
-def herglotz_transform_direct(p, x, t, tol=3e-12):
-    """A(z) of `halfplane.herglotz_transform` with f evaluated at every node.
+def herglotz_transform(harm: HarmonicEvaluator, x: float, t: float) -> complex:
+    """A(z) = (1/pi) int f(y) [1/(y-z) - chi_{|y|>1}/y] dy for z = x + it.
 
-    Same edges, same certified rule and same kernel, but no node memo: the
-    library's value must equal this one bit for bit.
+    Certified to harm.quad_tol; f is read from harm's node memo wherever a
+    Gauss node is one of the memo's, and evaluated at the other nodes.
+    """
+    p = harm.profile
+    z = complex(x, t)
+    y_min, Y = _y_range(p)
+    span = Y - y_min
+    # Tip cells [x_k, x_k + w] contribute ~ theta-rise(w) * w / t when z sits
+    # over the jump, so the grading depth at each jump must scale with t.
+    memo = harm._node_memo(max(span * 1e-16, min(span * 1e-9, t * 1e-6)))
+    ys, fys = memo.ys, memo.fys
+
+    def fn(y):
+        i = np.minimum(np.searchsorted(ys, y), ys.size - 1)
+        fy = fys[i]
+        miss = ys[i] != y
+        fy[miss] = p.f_vec(y[miss])
+        comp = np.where(y > 1.0, 1.0 / y, 0.0)
+        return fy * (1.0 / (y - z) - comp)
+
+    edges = merge_edges(
+        graded_edges(y_min, Y, x, max(t * 1e-2, span * 1e-14)), memo.edges)
+    integral = gauss_graded(fn, edges, tol=harm.quad_tol)
+    tail = -p.c_prime * cmath.log(1.0 - z / Y)
+    return (integral + tail) / PI
+
+
+def herglotz_transform_direct(p, x, t, tol=3e-12):
+    """A(z) of `herglotz_transform` with f evaluated at every node.
+
+    Same edges, same certified rule and same kernel, but no node memo:
+    `herglotz_transform`'s value must equal this one bit for bit.
     """
     z = complex(x, t)
     jumps = np.asarray(p.x, dtype=float)

@@ -32,6 +32,9 @@ REMOVED = (
     "value_by_quadrature", "derivative_by_quadrature",
     # hand-written copies of the run config, now read off its dataclasses
     "_SCHEMA", "_check_keys", "config_to_doc",
+    # the per-point A(z) and its (x, t) cache: g_exponent_vec is the only
+    # interior evaluator, and the per-point rule is a test oracle
+    "herglotz_transform", "herglotz",
 )
 
 
@@ -100,6 +103,8 @@ def test_removed_settings_stay_removed():
     assert list(inspect.signature(_nearest_on_segments).parameters) == [
         "z", "seg_s", "seg_e"]
     assert not hasattr(HarmonicEvaluator, "boundary_arg")
+    assert not hasattr(HarmonicEvaluator, "herglotz")
+    assert "_cache" not in fields(HarmonicEvaluator)
 
 
 def test_import_loads_no_scipy():

@@ -6,6 +6,7 @@ import pytest
 
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
+from nondini import conformal
 from nondini.hilbert import HilbertEvaluator
 from nondini.conformal import (
     BASE_POINT,
@@ -262,6 +263,17 @@ def test_injectivity_default_cos(ev_lip):
     # default profile saturates at c' = pi/4, so the margin constant is sqrt2/2
     rep = check_injectivity(ev_lip, n_segments=4, seed=5)
     assert abs(rep.cos_cprime - math.sqrt(2.0) / 2.0) < 1e-12
+
+
+def test_injectivity_passes_on_positive_margin_only(ev_wedge, ev_lip, monkeypatch):
+    # the same rule as the CLI row and criterion 5: min_margin > 0
+    for rep in (check_injectivity(ev_wedge, n_segments=5, seed=2),
+                check_injectivity(ev_lip, n_segments=4, seed=5)):
+        assert rep.passed == (rep.min_margin > 0.0)
+    for margin in (-1e-12, 0.0, 1e-12):
+        monkeypatch.setattr(conformal, "segment_margin", lambda *a, m=margin, **k: m)
+        rep = check_injectivity(ev_wedge, n_segments=3, seed=2)
+        assert (rep.min_margin, rep.passed) == (margin, margin > 0.0)
 
 
 def test_segment_margin_degenerate(ev_wedge):

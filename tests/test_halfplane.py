@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini.hilbert import HilbertEvaluator
-from nondini.halfplane import HarmonicEvaluator, herglotz_transform, poisson_kernel
+from nondini.halfplane import (
+    HarmonicEvaluator, _log_sum, _poisson_of_step, poisson_kernel)
 from nondini.quadrature import QuadratureError
 
-from oracles import herglotz_transform_direct, poisson_of_kf_oracle
+from oracles import herglotz_transform, herglotz_transform_direct, poisson_of_kf_oracle
 
 PI = math.pi
 
@@ -147,8 +149,8 @@ def test_c1_W_diverges_at_jump_like_log(harm_c1):
 def test_extend_functions_match_evaluator(harm_c1):
     z = complex(0.3, 0.5)
     a = herglotz_transform_direct(harm_c1.profile, z.real, z.imag)
-    assert harm_c1.V(z) == a.imag
-    assert harm_c1.W(z) == -a.real
+    assert abs(harm_c1.V(z) - a.imag) <= 1e-14 * abs(a.imag)
+    assert abs(harm_c1.W(z) + a.real) <= 1e-14 * abs(a.real)
     assert harm_c1.V(z) == harm_c1.g_exponent(z).imag
     with pytest.raises(ValueError):
         harm_c1.W(complex(0.3, -0.5))
@@ -308,3 +310,114 @@ def test_herglotz_stall_is_unchanged(harm_c1):
         herglotz_transform(h, 0.5, 1e-14)
     with pytest.raises(QuadratureError, match=msg):
         herglotz_transform_direct(harm_c1.profile, 0.5, 1e-14)
+
+
+# -- the batched A(z): far-field series, near-field cells, certificate -----------
+
+def _assert_batch_matches_oracle(harm, zs):
+    zs = np.asarray(zs, dtype=complex)
+    a = harm.g_exponent_vec(zs)
+    h = HarmonicEvaluator(harm.ev)
+    ref = np.array([herglotz_transform(h, z.real, z.imag) for z in zs.tolist()])
+    rel = np.abs(a - ref) / np.abs(ref)
+    assert rel.max() <= 1e-14, (zs[rel.argmax()], rel.max())
+
+
+def test_g_exponent_vec_matches_oracle_in_criterion_5_box(harm_c1):
+    rng = np.random.default_rng(1)
+    pts = rng.uniform([-2.0, 0.05], [3.0, 2.0], size=(200, 2))
+    _assert_batch_matches_oracle(harm_c1, pts[:, 0] + 1j * pts[:, 1])
+
+
+def test_g_exponent_vec_matches_oracle_at_small_t(harm_c1):
+    x1, x2 = harm_c1.profile.x[:2]
+    _assert_batch_matches_oracle(
+        harm_c1, [complex(x, t) for x in (x1, x2, -0.7, 0.3, 1.3)
+                  for t in (1e-4, 1e-5, 1e-6, 1e-7)])
+
+
+def test_g_exponent_vec_matches_oracle_on_far_field_circle(harm_c1):
+    # the far field starts at |z - c| = 2R, c and R the centre and radius of
+    # [y_min, Y]; points on the circle and just inside it
+    p = harm_c1.profile
+    y_min, Y = min(p.x), max(p.saturation, 1.0)
+    c, R = 0.5 * (y_min + Y), 0.5 * (Y - y_min)
+    phis = np.linspace(0.02, PI - 0.02, 25)
+    zs = [c + 2.0 * R * s * cmath.exp(1j * phi)
+          for s in (1.0, 1.0 - 2.0 ** -40, 1.0 - 1e-3) for phi in phis]
+    _assert_batch_matches_oracle(harm_c1, zs)
+
+
+def test_g_exponent_vec_matches_oracle_across_jump_scales(harm_c1):
+    # t below 1e-3 grades the jumps by t, so one batch needs several memos
+    zs = [complex(0.3, 0.5), complex(0.5, 1e-5), complex(-1.0, 2.0),
+          complex(0.25, 1e-4), complex(0.7, 1e-5), complex(0.5, 1e-7),
+          complex(2.0, 0.05)]
+    _assert_batch_matches_oracle(harm_c1, zs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=st.floats(-3.0, 3.0), t=st.floats(1e-3, 10.0))
+def test_g_exponent_vec_matches_oracle_everywhere(harm_c1, x, t):
+    _assert_batch_matches_oracle(harm_c1, [complex(x, t)])
+
+
+def test_scalar_calls_are_one_point_batches(harm_c1):
+    zs = [complex(0.3, 0.5), complex(2.5, 1.5), complex(0.5, 1e-5),
+          complex(-0.7, 1e-4)]
+    batch = harm_c1.g_exponent_vec(zs)
+    for z, b in zip(zs, batch):
+        a = harm_c1.g_exponent_vec(np.array([z]))[0]
+        assert a == b
+        assert harm_c1.g_exponent(z) == a
+        assert harm_c1.V(z) == a.imag
+        assert harm_c1.W(z) == -a.real
+        assert harm_c1.G(z) == np.exp(a)
+
+
+def test_g_exponent_vec_keeps_shape(harm_c1):
+    zs = np.array([[0.3 + 0.5j, 2.5 + 1.5j, -0.2 + 0.1j],
+                   [0.6 + 0.3j, 0.3 + 2.0j, 1.2 + 0.7j]])
+    out = harm_c1.g_exponent_vec(zs)
+    assert out.shape == (2, 3)
+    assert np.array_equal(out.ravel(), harm_c1.g_exponent_vec(zs.ravel()))
+    zero_d = harm_c1.g_exponent_vec(np.complex128(0.3 + 0.5j))
+    assert zero_d.shape == ()
+    assert zero_d == out[0, 0]
+    for empty in (np.zeros(0, dtype=complex), np.zeros((0, 3), dtype=complex)):
+        assert harm_c1.g_exponent_vec(empty).shape == empty.shape
+
+
+def test_g_exponent_vec_rejects_lower_half_plane(harm_c1, harm_lip):
+    for h in (harm_c1, harm_lip):
+        for zs in ([0.3 + 0.5j, 0.3 + 0.0j], [0.3 - 1.0j], [complex(0.3, math.nan)],
+                   np.array([0.2, 0.4])):
+            with pytest.raises(ValueError):
+                h.g_exponent_vec(zs)
+
+
+def test_g_exponent_vec_lipschitz_is_closed_form(harm_lip):
+    p = harm_lip.profile
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-3.0, 3.0, 50)
+    ts = 10.0 ** rng.uniform(-6.0, 1.0, 50)
+    out = harm_lip.g_exponent_vec(xs + 1j * ts)
+    for x, t, a in zip(xs.tolist(), ts.tolist(), out.tolist()):
+        closed = complex(-_log_sum(p, x, t), _poisson_of_step(p, x, t))
+        assert a == closed
+        assert harm_lip.G(complex(x, t)) == cmath.exp(closed)
+
+
+def test_g_exponent_vec_stall_raises_with_measured_error(harm_c1):
+    # at t = 1e-12 or less over a jump no grading certifies 3e-12, alone or
+    # inside a batch of points that are fine
+    h = HarmonicEvaluator(harm_c1.ev)
+    x1, x2 = h.profile.x[:2]
+    for z in (complex(0.5, 1e-14), complex(x1, 1e-12), complex(x2, 1e-12)):
+        measured = []
+        for batch in ([z], [0.3 + 0.5j, z, 2.0 + 1.0j]):
+            with pytest.raises(QuadratureError, match="stalled at") as info:
+                h.g_exponent_vec(batch)
+            measured.append(float(re.search(r"stalled at (\S+)",
+                                            str(info.value)).group(1)))
+        assert measured[0] == measured[1] > h.quad_tol

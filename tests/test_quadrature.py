@@ -1,6 +1,7 @@
 """The shared quadrature layer: Gauss-cell rule, certified graded rule,
 flattened endpoint rule, and the singular-split planner."""
 
+import cmath
 import re
 
 import numpy as np
@@ -14,8 +15,10 @@ from nondini.quadrature import (
     graded_edges,
     integrate_power_endpoint,
     merge_edges,
+    quad_complex,
     split_plan,
 )
+from nondini.quadrature import _XK
 
 
 # -- Gauss-cell rule ---------------------------------------------------------
@@ -110,3 +113,49 @@ def test_split_plan_adds_coincident_exponents():
     plan = split_plan(0.0, 2.0, [1.0, 1.0, 0.0], [0.125, 0.25, 0.0625])
     assert plan == [(0.0, 0.5, 0.0625, "a"), (0.5, 1.0, 0.375, "b"),
                     (1.0, 2.0, 0.375, "a")]
+
+
+# -- adaptive Gauss-Kronrod for complex line integrals -----------------------
+
+
+def test_quad_complex_hands_fn_the_15_kronrod_nodes():
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        return np.exp(2j * s)
+
+    quad_complex(fn, 0.0, 1.0, tol=1e-12)
+    assert all(isinstance(s, np.ndarray) and s.shape == (15,) for s in calls)
+    # the first call covers [0, 1]: its nodes are mid + half * t, node by node
+    assert calls[0].tolist() == [0.5 + 0.5 * t for t in _XK]
+
+
+def test_quad_complex_matches_per_node_evaluation():
+    # an analytic complex integrand, once vectorized and once node by node
+    def scalar(s):
+        return cmath.exp(3j * s) * (1.0 / (1.0 + s * s))
+
+    def vectorized(s):
+        return np.exp(3j * s) * (1.0 / (1.0 + s * s))
+
+    val, err = quad_complex(vectorized, -1.0, 2.0, tol=1e-13)
+    ref = quad_complex(lambda s: np.array([scalar(float(x)) for x in s]),
+                       -1.0, 2.0, tol=1e-13)
+    assert (val, err) == ref
+    assert err <= 1e-13
+
+
+def test_quad_complex_raises_past_400_splits():
+    # a step inside [0, 1] and a tolerance below rounding: the error estimate
+    # never reaches it
+    calls = []
+
+    def fn(s):
+        calls.append(s.size)
+        return np.where(s < 1.0 / 3.0, 0.0, 1.0j)
+
+    with pytest.raises(QuadratureError, match="stalled at error"):
+        quad_complex(fn, 0.0, 1.0, tol=1e-20)
+    # one batch for [0, 1], then two per split
+    assert calls == [15] * (1 + 2 * 400)
