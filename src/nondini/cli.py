@@ -228,7 +228,7 @@ def cmd_construct(cfg: RunConfig) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _checks_modulus(cfg: RunConfig, ev: None):
+def _checks_modulus(cfg: RunConfig, harm: None):
     spec = cfg.theta.spec
     sm = SmoothedModulus(spec)
     hi = sm.domain_hi * (1.0 - 1e-9)
@@ -242,7 +242,8 @@ def _checks_modulus(cfg: RunConfig, ev: None):
     yield ("modulus/smoothed-monotone", max(float(-diffs.min()), 0.0), 1e-12)
 
 
-def _checks_hilbert(cfg: RunConfig, ev: HilbertEvaluator):
+def _checks_hilbert(cfg: RunConfig, harm: HarmonicEvaluator):
+    ev = harm.ev
     p = ev.profile
     rng = np.random.Generator(np.random.Philox(cfg.mc.seed))
     worst = 0.0
@@ -266,37 +267,35 @@ def _checks_hilbert(cfg: RunConfig, ev: HilbertEvaluator):
         yield ("hilbert/region-bracket", max(viol, 0.0), 10.0 * ev.quad_tol)
 
 
-def _checks_halfplane(cfg: RunConfig, ev: HilbertEvaluator):
-    p = ev.profile
-    harm = HarmonicEvaluator(ev)
+def _checks_halfplane(cfg: RunConfig, harm: HarmonicEvaluator):
+    p = harm.profile
     xs = np.array([-0.7, 0.3, 1.3])
     a = harm.g_exponent_vec(xs + 1j * 1e-4)
     yield ("halfplane/boundary-limit-tangent-angle",
            float(np.abs(a.imag - p.f_vec(xs)).max()), 1e-2)
     yield ("halfplane/boundary-limit-conjugate",
-           float(np.abs(-a.real - ev.kf_vec(xs)).max()), 1e-2)
+           float(np.abs(-a.real - harm.ev.kf_vec(xs)).max()), 1e-2)
 
 
-def _checks_conformal(cfg: RunConfig, ev: HilbertEvaluator):
+def _checks_conformal(cfg: RunConfig, harm: HarmonicEvaluator):
     z = 0.6 + 0.8j
-    direct = integrate_phi(ev, z, tol=cfg.quad_tol)
-    dogleg = integrate_phi(ev, z, path=PathSpec((BASE_POINT, 2j, z)),
+    direct = integrate_phi(harm, z, tol=cfg.quad_tol)
+    dogleg = integrate_phi(harm, z, path=PathSpec((BASE_POINT, 2j, z)),
                            tol=cfg.quad_tol)
     yield ("conformal/path-independence", abs(direct - dogleg), 1e-8)
     yield ("conformal/base-point-normalization",
-           abs(integrate_phi(ev, BASE_POINT)), 1e-15)
+           abs(integrate_phi(harm, BASE_POINT)), 1e-15)
 
-    p = ev.profile
-    harm = HarmonicEvaluator(ev)
+    p = harm.profile
     rng = np.random.Generator(np.random.Philox(cfg.mc.seed + 1))
     pts = rng.uniform([-2.0, 0.05], [3.0, 2.0], size=(100, 2))
     worst = float(np.abs(harm.g_exponent_vec(pts[:, 0] + 1j * pts[:, 1]).imag).max())
     yield ("conformal/arg-bound-excess", max(worst - p.c_prime, 0.0), 1e-9)
 
-    rep = check_injectivity(ev, n_segments=8, seed=cfg.mc.seed)
+    rep = check_injectivity(harm, n_segments=8, seed=cfg.mc.seed)
     yield ("conformal/injectivity-margin", rep.min_margin, None)
 
-    grep = growth_check(ev, [16.0, 64.0, 256.0, 1024.0], n_angles=3)
+    grep = growth_check(harm, [16.0, 64.0, 256.0, 1024.0], n_angles=3)
     yield ("conformal/growth-exponent-shortfall",
            max(grep.target_exponent - grep.fitted_exponent, 0.0), 0.05)
 
@@ -310,7 +309,8 @@ def _checks_conformal(cfg: RunConfig, ev: HilbertEvaluator):
            abs(density_at(None, 0.3).value - 1.0), 0.0)
 
 
-def _checks_measure(cfg: RunConfig, ev: HilbertEvaluator):
+def _checks_measure(cfg: RunConfig, harm: HarmonicEvaluator):
+    ev = harm.ev
     worst = 0.0
     for x in (-1.0, -0.3, 0.7, 1.7, 3.0):
         d = density_at(ev, x)
@@ -328,7 +328,7 @@ def _checks_measure(cfg: RunConfig, ev: HilbertEvaluator):
     yield ("measure/corner-ball-ratio", abs(ball.ratio / closed - 1.0), 1e-6)
 
 
-def _checks_appendix(cfg: RunConfig, ev: None):
+def _checks_appendix(cfg: RunConfig, harm: None):
     eps = [2.0 ** -k for k in range(4, 11)]
     rep = appendix_product_integral([0.125, 0.125], eps, jumps=[0.0, 0.0])
     yield ("appendix/slope-vs-scaling-law",
@@ -339,8 +339,9 @@ def _checks_appendix(cfg: RunConfig, ev: None):
 
 
 # suite -> (its check rows, whether they need the evaluator); "all" runs every
-# suite in this order. A row is (name, measured, tolerance); a row without a
-# tolerance is a margin, which passes when positive.
+# suite in this order, all of them on one HarmonicEvaluator, so its A(z) node
+# memo is built once per jump_scale. A row is (name, measured, tolerance); a
+# row without a tolerance is a margin, which passes when positive.
 _SUITES = {
     "modulus": (_checks_modulus, False),
     "hilbert": (_checks_hilbert, True),
@@ -356,10 +357,11 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     chosen = [row for name, row in _SUITES.items() if suite in (name, "all")]
-    ev = build_evaluator(cfg) if any(needs_ev for _, needs_ev in chosen) else None
+    harm = (HarmonicEvaluator(build_evaluator(cfg))
+            if any(needs_ev for _, needs_ev in chosen) else None)
     checks = []
     for gen, _ in chosen:
-        for name, measured, tol in gen(cfg, ev):
+        for name, measured, tol in gen(cfg, harm):
             passed = measured > 0.0 if tol is None else measured <= tol
             checks.append({"check": name, "measured": measured,
                            "tolerance": tol, "passed": bool(passed)})

@@ -11,9 +11,11 @@ and it degenerates to 0 where Kf diverges to -infinity: at every jump of
 the profile (|Phi'| blows up like a power there) and, for the idealized
 construction the finite truncation approximates, at the accumulation
 point 0 of the jump sequence. measure_ratio resolves a surface ball
-(connected boundary piece within distance r of a center) by bisection
-along the traced boundary, and singular_set_scan turns the ratio curves
-into a flagged report.
+(connected boundary piece within distance r of a center) along the traced
+boundary: each end of its preimage is a safeguarded Newton solve of
+|Phi(x) - Phi(center)| = r inside a bracket of trace samples, with the
+derivative from G = Phi' in closed form, in about four boundary integrals.
+singular_set_scan turns the ratio curves into a flagged report.
 
 wos_harmonic_measure estimates the same hitting probabilities with a
 walk-on-spheres sampler against the traced polyline (extended by its two
@@ -43,12 +45,13 @@ import numpy as np
 from .conformal import (
     BoundaryTrace,
     _boundary_abs_dphi,
+    _boundary_g,
     _boundary_integral,
     _integrate_split,
     _split_singular,
     _text_sink,
 )
-from .quadrature import split_plan
+from .quadrature import QuadratureError, split_plan
 
 PI = math.pi
 # walkers per pass of the nearest-segment search (bounds the walkers x
@@ -56,6 +59,9 @@ PI = math.pi
 _WALKER_CHUNK = 1024
 # consecutive polyline segments per bounding circle of that search
 _B = 16
+# most steps of one surface-ball crossing solve; a solve takes about four,
+# and about 70 when a derivative 10x too large leaves it to the midpoints
+_CROSSING_STEPS = 100
 
 
 # -- pointwise density -----------------------------------------------------------
@@ -117,40 +123,84 @@ def _phi_on_boundary(trace: BoundaryTrace, ev, x: float) -> complex:
     return _phi_from(ev, ax, aphi, x)
 
 
-def _bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,
+def _g_at(ev, x: float) -> complex:
+    """G(x) = Phi'(x) on the boundary line; 1 for the identity boundary."""
+    if ev is None:
+        return 1.0 + 0.0j
+    return complex(_boundary_g(ev)(np.array([x]))[0])
+
+
+def _newton_crossing(ev, x_in: float, phi_in: complex, x_out: float,
                      p_img: complex, r: float) -> float:
-    """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r."""
+    """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r.
 
-    def h(x: float) -> float:
-        return abs(_phi_from(ev, x_in, phi_in, x) - p_img) - r
-
-    a, b = x_in, x_out
-    for _ in range(120):
-        if abs(b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if h(mid) < 0.0:
-            a = mid
+    Safeguarded Newton on h(x) = |Phi(x) - p_img| - r, whose derivative is
+    Re(conj(Phi(x) - p_img) G(x)) / |Phi(x) - p_img|. The bracket [anchor,
+    outside] always holds the crossing: the latest iterate with h < 0 is the
+    anchor, and each Phi is one boundary integral from it. A Newton point
+    that leaves the open bracket, or a step longer than half the one before,
+    becomes the midpoint. A Newton step under half the tolerance
+    1e-15 max(1, |x|) is lengthened by that half so that it lands across the
+    crossing; the solve stops when h == 0 or the bracket is at most the
+    tolerance wide, and returns its midpoint. Past _CROSSING_STEPS steps it
+    raises QuadratureError with the bracket width.
+    """
+    a, phi_a, b = x_in, phi_in, x_out
+    x, phi = a, phi_a
+    step_old = 2.0 * abs(b - a)
+    for _ in range(_CROSSING_STEPS):
+        lo, hi = min(a, b), max(a, b)
+        d = phi - p_img
+        dist = abs(d)
+        g = _g_at(ev, x)
+        # at the centre itself h' is the one-sided |G|; an infinite h' (a
+        # jump) gives a zero step, and a zero or undefined one a nan step,
+        # both of which bisect
+        slope = ((d.conjugate() * g).real / dist if dist > 0.0
+                 else math.copysign(abs(g), b - a))
+        step = -(dist - r) / slope if slope != 0.0 else math.nan
+        half_tol = 0.5e-15 * max(1.0, abs(x))
+        if 0.0 < abs(step) < half_tol:
+            step += math.copysign(half_tol, step)
+        elif abs(step) > 0.5 * step_old:
+            step = math.nan
+        x_new = x + step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (a + b)
+        step_old = abs(x_new - x)
+        x = x_new
+        phi = _phi_from(ev, a, phi_a, x)
+        h = abs(phi - p_img) - r
+        if h == 0.0:
+            return x
+        if h < 0.0:
+            a, phi_a = x, phi
         else:
-            b = mid
-    return 0.5 * (a + b)
+            b = x
+        if abs(b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
+            return 0.5 * (a + b)
+    raise QuadratureError(
+        "surface-ball crossing unresolved after %d Newton steps: bracket "
+        "width %.3e" % (_CROSSING_STEPS, abs(b - a)))
 
 
-def _ball_preimage(trace: BoundaryTrace, ev, x_center: float,
-                   r: float) -> tuple[float, float]:
+def _ball_preimage(trace: BoundaryTrace, ev, x_center: float, r: float,
+                   p_img: complex | None = None) -> tuple[float, float]:
     """Preimage [x_lo, x_hi] of the surface ball of radius r at Phi(x_center).
 
-    The ball must be a single connected run of the trace: an inside sample
-    beyond the first outside sample on either flank means the resolution
-    cannot separate components, and a run touching the trace ends means r
-    exceeds the covered radius. Both raise.
+    p_img is Phi(x_center) when the caller has it already. The ball must be
+    a single connected run of the trace: an inside sample beyond the first
+    outside sample on either flank means the resolution cannot separate
+    components, and a run touching the trace ends means r exceeds the
+    covered radius. Both raise.
     """
     if not r > 0.0:
         raise ValueError("ball radius must be positive")
     xs = np.asarray(trace.x)
     if not xs[0] < x_center < xs[-1]:
         raise ValueError("center outside the traced window")
-    p_img = _phi_on_boundary(trace, ev, x_center)
+    if p_img is None:
+        p_img = _phi_on_boundary(trace, ev, x_center)
     hs = np.abs(np.asarray(trace.phi) - p_img) - r
     iR = int(np.searchsorted(xs, x_center, side="right"))
     iL = iR - 1
@@ -165,7 +215,7 @@ def _ball_preimage(trace: BoundaryTrace, ev, x_center: float,
         in_x, in_phi = x_center, p_img
     else:
         in_x, in_phi = float(xs[jL + 1]), complex(trace.phi[jL + 1])
-    x_lo = _bisect_crossing(ev, in_x, in_phi, float(xs[jL]), p_img, r)
+    x_lo = _newton_crossing(ev, in_x, in_phi, float(xs[jL]), p_img, r)
 
     out_right = np.flatnonzero(hs[iR:] >= 0.0)
     if out_right.size == 0:
@@ -177,19 +227,20 @@ def _ball_preimage(trace: BoundaryTrace, ev, x_center: float,
         in_x, in_phi = x_center, p_img
     else:
         in_x, in_phi = float(xs[jR - 1]), complex(trace.phi[jR - 1])
-    x_hi = _bisect_crossing(ev, in_x, in_phi, float(xs[jR]), p_img, r)
+    x_hi = _newton_crossing(ev, in_x, in_phi, float(xs[jR]), p_img, r)
     return x_lo, x_hi
 
 
-def measure_ratio(trace: BoundaryTrace, ev, x_center: float,
-                  r: float) -> BallRatio:
+def measure_ratio(trace: BoundaryTrace, ev, x_center: float, r: float,
+                  p_img: complex | None = None) -> BallRatio:
     """omega / arclength for the surface ball of radius r at Phi(x_center).
 
     omega is the Lebesgue length of the preimage interval (pole-at-infinity
     pullback), arclength integrates |Phi'| = exp(-Kf) over the same interval
-    with flattened rules at interior jumps.
+    with flattened rules at interior jumps. p_img is Phi(x_center) when the
+    caller has it already.
     """
-    x_lo, x_hi = _ball_preimage(trace, ev, x_center, r)
+    x_lo, x_hi = _ball_preimage(trace, ev, x_center, r, p_img)
     omega = x_hi - x_lo
     if ev is None:
         length = omega
@@ -272,13 +323,13 @@ def singular_set_scan(trace: BoundaryTrace, ev, centers, r_list,
     for x_c in centers:
         x_c = float(x_c)
         dens = density_at(ev, x_c)
-        curves = [measure_ratio(trace, ev, x_c, r) for r in rs]
+        p_img = _phi_on_boundary(trace, ev, x_c)
+        curves = [measure_ratio(trace, ev, x_c, r, p_img) for r in rs]
         ratios = [b.ratio for b in curves]
         tail = ratios[-min(5, len(ratios)):]
         flagged = (ratios[-1] < threshold
                    and all(b < a for a, b in zip(tail, tail[1:])))
         slope = float(np.polyfit(np.log(rs), np.log(ratios), 1)[0])
-        p_img = _phi_on_boundary(trace, ev, x_c)
         if not dens.singular and abs(ratios[-1] - dens.value) > control_tol:
             raise ValueError(
                 "control at x=%g: ratio %.6g vs density %.6g exceeds %g"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
+from nondini.measure import _phi_from
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import gauss_graded, graded_edges, merge_edges, quad_scalar
 
@@ -46,6 +47,25 @@ def nearest_on_segments_bruteforce(z, seg_s, seg_e):
         idx[i0:i0 + chunk] = j
         ts[i0:i0 + chunk] = t[rows, j]
     return dist, idx, ts
+
+
+def bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,
+                    p_img: complex, r: float) -> float:
+    """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r."""
+
+    def h(x: float) -> float:
+        return abs(_phi_from(ev, x_in, phi_in, x) - p_img) - r
+
+    a, b = x_in, x_out
+    for _ in range(120):
+        if abs(b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
+            break
+        mid = 0.5 * (a + b)
+        if h(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def f_per_jump(p, xs, slope=False):

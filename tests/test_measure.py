@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nondini import conformal, measure
 from nondini.conformal import BoundaryTrace, trace_boundary
 from nondini.hilbert import HilbertEvaluator
 from nondini.measure import (
@@ -36,7 +37,8 @@ from nondini.measure import (
 )
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import MODE_C1, MODE_LIPSCHITZ, build_bridge, build_profile
-from oracles import nearest_on_segments_bruteforce
+from nondini.quadrature import QuadratureError
+from oracles import bisect_crossing, nearest_on_segments_bruteforce
 
 WEDGE_C = 0.9
 WEDGE_Q = 1.0 - WEDGE_C / math.pi
@@ -174,6 +176,112 @@ def test_ball_preimage_disconnected():
                        c_prime=0.0)
     with pytest.raises(ValueError, match="disconnected"):
         measure_ratio(tr, None, 0.0, 0.6)
+
+
+# -- crossing solve against the bisection oracle ----------------------------------
+
+JUMP_RADII = [2.0 ** -k for k in range(6, 15)]
+
+
+def _recorded_crossings(monkeypatch, solve):
+    """Run solve() with every crossing solve's arguments and result recorded."""
+    calls = []
+    newton = measure._newton_crossing
+
+    def recording(*args):
+        x = newton(*args)
+        calls.append((args, x))
+        return x
+
+    monkeypatch.setattr(measure, "_newton_crossing", recording)
+    solve()
+    return calls
+
+
+def _assert_match_oracle(calls):
+    assert calls
+    for args, x in calls:
+        assert abs(x - bisect_crossing(*args)) <= 2e-15 * max(1.0, abs(x))
+
+
+@pytest.mark.parametrize("case", ["c1", "lipschitz", "wedge", "identity"])
+def test_crossings_match_bisection_oracle(case, request, monkeypatch):
+    if case == "identity":
+        trace, ev = BoundaryTrace.flat(-8.0, 8.0, 33), None
+        balls = [(x, r) for x in (0.3, 0.0, 1.7) for r in (0.5, 1.0 / 3.0, 0.1)]
+    elif case == "wedge":
+        trace = request.getfixturevalue("trace_wedge")
+        ev = request.getfixturevalue("ev_wedge")
+        balls = [(0.0, r) for r in JUMP_RADII]
+    else:
+        tag = "c1" if case == "c1" else "lip"
+        trace = request.getfixturevalue("trace_" + tag)
+        ev = request.getfixturevalue("ev_" + tag)
+        balls = [(x, r) for x in (0.5, 0.25, 0.75) for r in JUMP_RADII]
+    calls = _recorded_crossings(monkeypatch, lambda: [
+        measure_ratio(trace, ev, x, r) for x, r in balls])
+    assert len(calls) == 2 * len(balls)
+    _assert_match_oracle(calls)
+
+
+@pytest.mark.parametrize("mode", ["c1", "lip"])
+def test_ratio_boundary_integral_count(mode, request, monkeypatch):
+    # every Phi increment (_boundary_integral) and the arc length run through
+    # _integrate_split; the scan computes each center's image once, which
+    # takes one integral at 0.7 and none at the trace samples 0.5 and 0.25
+    trace = request.getfixturevalue("trace_" + mode)
+    ev = request.getfixturevalue("ev_" + mode)
+    quads = [0]
+    per_ratio = []
+    split = measure._integrate_split
+    ratio = measure.measure_ratio
+
+    def counted_split(*args, **kw):
+        quads[0] += 1
+        return split(*args, **kw)
+
+    def counted_ratio(*args):
+        before = quads[0]
+        out = ratio(*args)
+        per_ratio.append(quads[0] - before)
+        return out
+
+    monkeypatch.setattr(measure, "_integrate_split", counted_split)
+    monkeypatch.setattr(conformal, "_integrate_split", counted_split)
+    monkeypatch.setattr(measure, "measure_ratio", counted_ratio)
+    images = []
+    image = measure._phi_on_boundary
+    monkeypatch.setattr(measure, "_phi_on_boundary",
+                        lambda *args: images.append(args) or image(*args))
+    centers = [0.5, 0.25, 0.7]
+    measure.singular_set_scan(trace, ev, centers, JUMP_RADII, control_tol=1.0)
+    assert len(per_ratio) == len(centers) * len(JUMP_RADII)
+    assert max(per_ratio) <= 12
+    assert len(images) == len(centers)
+    assert quads[0] - sum(per_ratio) == 1
+
+
+def test_wrong_derivative_still_reaches_oracle(ev_lip, trace_lip, ev_c1,
+                                               trace_c1, monkeypatch):
+    # G scaled by 10 makes every Newton step 10x too short; the bracket,
+    # with its midpoint fallback, still closes on the crossing
+    def scaled_g(ev):
+        g = conformal._boundary_g(ev)
+        return lambda ys: 10.0 * g(ys)
+
+    monkeypatch.setattr(measure, "_boundary_g", scaled_g)
+    calls = _recorded_crossings(monkeypatch, lambda: [
+        measure_ratio(tr, ev, x, r)
+        for tr, ev in ((trace_lip, ev_lip), (trace_c1, ev_c1))
+        for x in (0.5, 0.75) for r in (2.0 ** -6, 2.0 ** -14)])
+    _assert_match_oracle(calls)
+
+
+def test_crossing_step_cap_raises(ev_lip, trace_lip, monkeypatch):
+    monkeypatch.setattr(measure, "_CROSSING_STEPS", 1)
+    with pytest.raises(QuadratureError,
+                       match=r"after 1 Newton steps: bracket width \d\.\d{3}e-\d\d"):
+        measure_ratio(trace_lip, ev_lip, 0.5, 2.0 ** -8)
 
 
 # -- singular set scan -----------------------------------------------------------
