@@ -53,7 +53,7 @@ from .measure import (
     singular_set_scan,
     wos_harmonic_measure,
 )
-from .modulus import ModulusSpec, SmoothedModulus
+from .modulus import KIND_TABULATED, ModulusSpec, SmoothedModulus
 from .profile import (
     MODE_C1,
     MODE_LIPSCHITZ,
@@ -75,6 +75,9 @@ class ThetaConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
+        if self.kind == KIND_TABULATED:
+            raise ValueError("theta.kind 'tabulated' is library-only: build "
+                             "ModulusSpec('tabulated', grid=...) in Python")
         self.spec  # a bad theta section raises here
 
     @property

@@ -11,10 +11,10 @@ with
     theta_tilde'(r) = (1/(r ln^2 2)) ( int_{2r}^{4r} theta(s)/s ds
                                      - int_r^{2r}  theta(s)/s ds )  in [0, 1/(r ln 2)].
 
-Closed forms are hand-derived for the three builtin kinds; the tabulated kind
-integrates its piecewise-linear interpolant exactly on the inner level and
-numerically on the outer one. A fully numeric nested-quadrature path is kept for
-all kinds as a cross-check oracle.
+Every kind has a closed form. The three builtin kinds have hand-derived ones;
+the tabulated kind integrates its piecewise-linear interpolant exactly, piece by
+piece, holding theta constant beyond the grid as theta_vec does. The
+nested-quadrature oracle that checks them all lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .quadrature import quad_scalar
 
 __all__ = [
     "DiniClass",
@@ -178,7 +176,6 @@ class SmoothedModulus:
     """
 
     base: ModulusSpec
-    quad_tol: float = 1e-10
     beta: float = 0.5
     x0: float | None = None
     x_star: float | None = None
@@ -232,7 +229,12 @@ class SmoothedModulus:
             d2 = (b * np.log1p(-LN2 * LN2 / (b * b))
                   + LN2 * (np.log1p(LN2 / b) - np.log1p(-LN2 / b)))
             return d2 / LN2
-        return np.array([self._tab_value(x) for x in np.ravel(s * t)]).reshape(t.shape)
+        # ln^2 2 (theta_tilde(r) - c) = M(r) + ln2 J(2r) - M(2r) for any constant
+        # c (see _tab_moments); c = theta(2r) leaves only theta's variation
+        r = np.maximum(s * t, math.ulp(0.0))  # theta is constant where s t underflows
+        c = self.base.theta_vec(2.0 * r)
+        (_, m1), (j2, m2) = self._tab_moments(r, c), self._tab_moments(2.0 * r, c)
+        return c + (m1 + LN2 * j2 - m2) / (LN2 * LN2)
 
     def derivative(self, r: float) -> float:
         self._check_domain(r)
@@ -262,12 +264,10 @@ class SmoothedModulus:
             # the quotient collapses to B^2/(B^2 - ln^2 2), B = ln(1/r) - ln2.
             b = _neg_log(t, s) - LN2
             return -np.log1p(-LN2 * LN2 / (b * b)) / (t * LN2)
-        out = []
-        for x, tx in zip(np.ravel(s * t), t.ravel()):
-            j1 = self._tab_int_over_s(x, 2.0 * x)
-            j2 = self._tab_int_over_s(2.0 * x, 4.0 * x)
-            out.append((j2 - j1) / (tx * LN2 * LN2))
-        return np.array(out).reshape(t.shape)
+        r = np.maximum(s * t, math.ulp(0.0))
+        c = self.base.theta_vec(2.0 * r)
+        (j1, _), (j2, _) = self._tab_moments(r, c), self._tab_moments(2.0 * r, c)
+        return (j2 - j1) / (t * LN2 * LN2)
 
     def derivative_sup(self, a: float, b: float) -> float:
         """max of theta_tilde' over [a, b] via a 65-point geometric sample grid.
@@ -278,27 +278,33 @@ class SmoothedModulus:
         rs = np.geomspace(a, b, 65)
         return float(self.derivative_vec(rs).max())
 
-    # -- tabulated kind: exact inner integral, adaptive outer ----------------
+    # -- tabulated kind: exact integrals of the interpolant -----------------
 
-    def _tab_int_over_s(self, a: float, b: float) -> float:
-        """Exact int_a^b theta(s)/s ds for the piecewise-linear interpolant."""
-        rs = [p[0] for p in self.base.grid]
-        vs = [p[1] for p in self.base.grid]
-        cuts = sorted({a, b, *[r for r in rs if a < r < b]})
-        total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            i = np.searchsorted(rs, mid) - 1
-            i = min(max(i, 0), len(rs) - 2)
-            slope = (vs[i + 1] - vs[i]) / (rs[i + 1] - rs[i])
-            alpha = vs[i] - slope * rs[i]
-            total += alpha * math.log(hi / lo) + slope * (hi - lo)
-        return total
+    def _tab_moments(self, a: np.ndarray, c: np.ndarray):
+        """J = int_a^{2a} (theta - c) ds/s and M = int_a^{2a} (theta - c) ln(s/a) ds/s.
 
-    def _tab_value(self, r: float) -> float:
-        inner = self._tab_int_over_s
-        return quad_scalar(lambda t: inner(t, 2.0 * t) / t, r, 2.0 * r,
-                           tol=self.quad_tol) / (LN2 * LN2)
+        Exact for theta_vec's interpolant: each piece alpha + beta s integrates
+        in logs of local ratios. The pieces are the grid intervals, theta held
+        constant beyond either end, and an empty one for points past the end of
+        their run; the loop runs over the offset in each point's run of pieces.
+        """
+        grid = np.array(self.base.grid, dtype=float)
+        rs, vs = grid[:, 0], grid[:, 1]
+        slope = np.diff(vs) / np.diff(rs)
+        edges = np.concatenate(([-np.inf], rs, [np.inf, np.inf]))
+        alpha = np.concatenate(([vs[0]], vs[:-1] - slope * rs[:-1], [vs[-1], 0.0]))
+        beta = np.concatenate(([0.0], slope, [0.0, 0.0]))
+        first = np.searchsorted(edges, a, side="right") - 1
+        count = np.searchsorted(edges, 2.0 * a, side="left") - first
+        j = m = 0.0
+        for k in range(int(np.max(count, initial=0))):
+            i = np.minimum(first + k, beta.size - 1)
+            lo, hi = np.clip(edges[i], a, 2.0 * a), np.clip(edges[i + 1], a, 2.0 * a)
+            h, l, d = np.log(hi / a), np.log(lo / a), np.log(hi / lo)
+            j = j + (alpha[i] - c) * d + beta[i] * (hi - lo)
+            m = m + ((alpha[i] - c) * 0.5 * d * (h + l)
+                     + beta[i] * (hi * h - lo * l - (hi - lo)))
+        return j, m
 
     # -- scale selection ----------------------------------------------------
 

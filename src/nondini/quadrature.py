@@ -17,9 +17,7 @@ planner serve all of them:
   singular locations so that every piece has at most one singular end.
 
 `quad_complex` (adaptive Gauss-Kronrod, one call of a vectorized integrand
-per cell) covers complex line integrals in the interior, and `quad_scalar`
-is scipy's quad with its error estimate checked (scipy is imported on that
-call only: no other path needs it).
+per cell) covers complex line integrals in the interior.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "integrate_power_endpoint",
     "split_plan",
     "quad_complex",
-    "quad_scalar",
 ]
 
 
@@ -267,13 +264,3 @@ def quad_complex(fn, a: float, b: float, tol: float = 1e-12):
             f"complex GK15 stalled at error {total_err:.3e} (tol {tol:.3e})")
     return total, total_err
 
-
-def quad_scalar(fn, a, b, tol: float = 1e-10) -> float:
-    """scipy.integrate.quad (at most 300 subintervals) with the error estimate
-    promoted to an exception."""
-    from scipy.integrate import quad
-
-    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=300)
-    if err > 100.0 * max(tol, tol * abs(y)) + 1e-15:
-        raise QuadratureError(f"quad error estimate {err:.3e} exceeds tol {tol:.3e}")
-    return y

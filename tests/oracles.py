@@ -3,7 +3,8 @@
 Most are the straightforward form of a computation the library now does
 faster (the fast path must match them); the others are independent checks
 of a closed form or an identity (the Poisson integral of Kf, the
-nested-quadrature smoothed modulus, the elementary log integral).
+nested-quadrature smoothed modulus, the elementary log integral). `quad_scalar`
+is scipy's adaptive quadrature; the library itself needs no scipy.
 """
 
 import cmath
@@ -14,12 +15,30 @@ import numpy as np
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
 from nondini.measure import _phi_from
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
-from nondini.quadrature import gauss_graded, graded_edges, merge_edges, quad_scalar
+from nondini.quadrature import (
+    QuadratureError,
+    gauss_graded,
+    graded_edges,
+    merge_edges,
+)
 
 PI = math.pi
 LN2 = math.log(2.0)
 # truncation half-width of the direct Poisson quadrature of Kf
 _ORACLE_HALF_WIDTH = 4000.0
+# tolerance of the nested-quadrature smoothed modulus
+SMOOTHING_TOL = 1e-10
+
+
+def quad_scalar(fn, a, b, tol: float = 1e-10) -> float:
+    """scipy.integrate.quad (at most 300 subintervals) with the error estimate
+    promoted to an exception."""
+    from scipy.integrate import quad
+
+    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=300)
+    if err > 100.0 * max(tol, tol * abs(y)) + 1e-15:
+        raise QuadratureError(f"quad error estimate {err:.3e} exceeds tol {tol:.3e}")
+    return y
 
 
 def nearest_on_segments_bruteforce(z, seg_s, seg_e):
@@ -220,7 +239,7 @@ def pv_log_integral(a, b, x):
 def _theta_average(sm, t):
     """int_0^ln2 theta(t e^u) du, by adaptive quadrature."""
     th = sm.base.theta
-    return quad_scalar(lambda u: th(t * math.exp(u)), 0.0, LN2, tol=sm.quad_tol)
+    return quad_scalar(lambda u: th(t * math.exp(u)), 0.0, LN2, tol=SMOOTHING_TOL)
 
 
 def value_by_quadrature(sm, r):
@@ -228,7 +247,7 @@ def value_by_quadrature(sm, r):
     any modulus kind."""
     sm._check_domain(r)
     outer = quad_scalar(lambda v: _theta_average(sm, r * math.exp(v)), 0.0, LN2,
-                        tol=sm.quad_tol)
+                        tol=SMOOTHING_TOL)
     return outer / (LN2 * LN2)
 
 

@@ -35,6 +35,8 @@ REMOVED = (
     # the per-point A(z) and its (x, t) cache: g_exponent_vec is the only
     # interior evaluator, and the per-point rule is a test oracle
     "herglotz_transform", "herglotz",
+    # scipy's quadrature, whose last library caller was the tabulated theta_tilde
+    "quad_scalar",
 )
 
 
@@ -60,12 +62,7 @@ def test_removed_settings_stay_removed():
     from nondini.measure import _nearest_on_segments
     from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
-    from nondini.quadrature import (
-        gauss_graded,
-        integrate_power_endpoint,
-        quad_complex,
-        quad_scalar,
-    )
+    from nondini.quadrature import gauss_graded, integrate_power_endpoint, quad_complex
 
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -86,16 +83,18 @@ def test_removed_settings_stay_removed():
     assert "use_cache" not in fields(HarmonicEvaluator)
     assert "use_table" not in (params(HilbertEvaluator.kf_vec)
                                | params(HilbertEvaluator.k_htilde_vec))
-    assert "points" not in params(quad_scalar)
+    assert "points" not in params(oracles.quad_scalar)
     assert not {"tol", "n"} & params(integrate_power_endpoint)
     # settings no caller changed are constants now
     assert params(KHtildeTable.build) == {"ev"}
     # the table is one stacked lookup that never calls back into the evaluator
     assert not hasattr(KHtildeTable, "_eval_branch")
     assert not hasattr(KHtildeTable([], np.zeros((0, KHtildeTable.DEG + 1)), 0.0), "ev")
-    assert "limit" not in params(quad_complex) | params(quad_scalar)
+    assert "limit" not in params(quad_complex) | params(oracles.quad_scalar)
     assert "n" not in params(gauss_graded)
     assert params(classify_dini) == {"spec"}
+    # the tabulated theta_tilde is a closed form, with no tolerance to set
+    assert "quad_tol" not in fields(SmoothedModulus)
     assert "n" not in params(SmoothedModulus.derivative_sup)
     assert "half_width" not in params(oracles.poisson_of_kf_oracle)
     assert not hasattr(SmoothedModulus, "value_by_quadrature")
@@ -108,11 +107,49 @@ def test_removed_settings_stay_removed():
 
 
 def test_import_loads_no_scipy():
-    # scipy is only imported by quad_scalar, which only the tabulated
-    # modulus kind calls
+    # nothing in the library imports scipy; the tests' oracles do
     src = str(pathlib.Path(nondini.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import nondini, nondini.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_time_needs_no_scipy():
+    # with every scipy import refused, the CLI imports and the tabulated kind,
+    # the one kind that used to need scipy, still evaluates
+    src = str(pathlib.Path(nondini.__file__).parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy refused: " + name)
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import numpy as np
+import nondini, nondini.cli
+from nondini.modulus import ModulusSpec, SmoothedModulus, classify_dini
+rs = np.geomspace(1e-9, 0.9, 100)
+spec = ModulusSpec("tabulated", grid=tuple(zip(rs, np.log(2.0) / -np.log(rs))))
+sm = SmoothedModulus(spec)
+r = np.geomspace(1e-6, 0.1, 20)
+assert np.all(np.isfinite(sm.value_vec(r))) and np.all(sm.derivative_vec(r) > 0.0)
+print(sm.selected(0.5).x0, classify_dini(spec).value)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0.015625", "inconclusive"]
+
+
+def test_pyproject_needs_only_numpy():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = pathlib.Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

@@ -133,6 +133,17 @@ def test_config_rejects_values_no_command_reads(tmp_path, capsys):
         assert err in capsys.readouterr().err
 
 
+def test_config_rejects_tabulated_theta(tmp_path, capsys):
+    # a tabulated theta needs a grid, which only the library takes
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps({"theta": {"kind": "tabulated"}}))
+    assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
+                   "construct") == 1
+    err = capsys.readouterr().err
+    assert "library-only" in err and "ModulusSpec('tabulated', grid=...)" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_partial_config_uses_defaults():
     cfg = parse_config({"mode": "lipschitz", "K": 3})
     assert cfg.mode == "lipschitz"

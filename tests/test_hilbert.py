@@ -15,9 +15,9 @@ from nondini.hilbert import (
     pv_quadrature_oracle,
     region_bracket,
 )
-from nondini.quadrature import QuadratureError, quad_scalar
+from nondini.quadrature import QuadratureError
 
-from oracles import k_htilde_per_piece, pv_log_integral
+from oracles import k_htilde_per_piece, pv_log_integral, quad_scalar
 
 PI = math.pi
 

@@ -16,14 +16,18 @@ from nondini.modulus import (
     select_x0,
 )
 
-from oracles import derivative_by_quadrature, value_by_quadrature
+from oracles import SMOOTHING_TOL, derivative_by_quadrature, value_by_quadrature
 
 LN2 = math.log(2.0)
-EPS_Q = 10 * 1e-10  # 10 * default quad_tol
+EPS_Q = 10 * SMOOTHING_TOL
 
 LOG_INV = ModulusSpec("log_inverse")
 POWER1 = ModulusSpec("power", gamma=1.0)
 CONST01 = ModulusSpec("constant", c=0.1)
+
+
+def log_inverse_grid(r_lo, n):
+    return tuple((float(r), float(LN2 / -np.log(r))) for r in np.geomspace(r_lo, 0.9, n))
 
 
 def builtin_cases():
@@ -33,6 +37,12 @@ def builtin_cases():
         SmoothedModulus(ModulusSpec("power", gamma=0.5)),
         SmoothedModulus(CONST01),
     ]
+
+
+def all_cases():
+    # the tabulated grid starts at 1e-6, so the invariants also hold below it
+    return builtin_cases() + [
+        SmoothedModulus(ModulusSpec("tabulated", grid=log_inverse_grid(1e-6, 120)))]
 
 
 # -- theta -----------------------------------------------------------
@@ -133,7 +143,7 @@ def test_log_inverse_against_mpmath():
     assert sm.value(2.0 ** -10) == pytest.approx(float(outer), rel=1e-12)
 
 
-@pytest.mark.parametrize("sm", builtin_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
+@pytest.mark.parametrize("sm", all_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
 def test_scaled_forms_are_exact_rescalings(sm):
     # scaling by a power of two changes no bit while s t is a normal double
     t = np.geomspace(1e-6, sm.domain_hi * 0.999, 50)
@@ -161,8 +171,7 @@ def test_log_inverse_scaled_forms_at_the_floor():
 
 
 def test_tabulated_smoothing_tracks_closed_form():
-    grid = tuple((float(r), float(LN2 / -np.log(r))) for r in np.geomspace(1e-9, 0.9, 400))
-    tab = SmoothedModulus(ModulusSpec("tabulated", grid=grid))
+    tab = SmoothedModulus(ModulusSpec("tabulated", grid=log_inverse_grid(1e-9, 400)))
     ref = SmoothedModulus(LOG_INV)
     for r in (2.0 ** -10, 2.0 ** -6):
         assert tab.value(r) == pytest.approx(ref.value(r), rel=1e-4)
@@ -178,10 +187,79 @@ def test_tabulated_smoothing_tracks_closed_form():
         assert vec(np.array(2.0 ** -6)) == out[1, 1]
 
 
+def tabulated_by_mpmath(grid, r):
+    """(theta_tilde(r), theta_tilde'(r)) of np.interp's interpolant, by mpmath
+    quadrature split at the grid points and at r, 2r and 4r."""
+    mpmath.mp.dps = 30
+    rs = [mpmath.mpf(p[0]) for p in grid]
+    vs = [mpmath.mpf(p[1]) for p in grid]
+
+    def theta(x):
+        if x <= rs[0]:
+            return vs[0]
+        if x >= rs[-1]:
+            return vs[-1]
+        i = max(k for k in range(len(rs)) if rs[k] <= x)
+        return vs[i] + (vs[i + 1] - vs[i]) * (x - rs[i]) / (rs[i + 1] - rs[i])
+
+    def quad(fn, a, b):
+        return mpmath.quad(fn, [a] + [x for x in rs if a < x < b] + [b])
+
+    r = mpmath.mpf(r)
+    ln2 = mpmath.ln(2)
+    value = (quad(lambda s: theta(s) * mpmath.ln(s / r) / s, r, 2 * r)
+             + quad(lambda s: theta(s) * mpmath.ln(4 * r / s) / s, 2 * r, 4 * r))
+    slope = (quad(lambda s: theta(s) / s, 2 * r, 4 * r)
+             - quad(lambda s: theta(s) / s, r, 2 * r))
+    return float(value / ln2 ** 2), float(slope / (r * ln2 ** 2))
+
+
+@pytest.mark.parametrize("grid, r", [
+    (log_inverse_grid(1e-9, 400), 1.167e-2),
+    # breakpoints exactly at r, 2r and 4r, and one inside each half
+    (((0.01, 0.1), (0.0125, 0.12), (0.02, 0.15), (0.03, 0.2), (0.04, 0.3),
+      (0.5, 0.4)), 0.01),
+])
+def test_tabulated_against_mpmath(grid, r):
+    sm = SmoothedModulus(ModulusSpec("tabulated", grid=grid))
+    value, slope = tabulated_by_mpmath(grid, r)
+    assert sm.value(r) == pytest.approx(value, rel=1e-14)
+    assert sm.derivative(r) == pytest.approx(slope, rel=1e-14)
+
+
+def test_tabulated_holds_theta_beyond_the_grid():
+    # theta_vec holds theta at 0.1 below r = 0.01, so theta_tilde = 0.1 and
+    # theta_tilde' = 0 wherever [r, 4r] lies below the grid
+    sm = SmoothedModulus(ModulusSpec("tabulated", grid=((0.01, 0.1), (0.5, 0.4))))
+    rs = np.append(np.geomspace(1e-300, 0.0025, 200), [1e-3, 1e-6])
+    assert np.all(sm.value_vec(rs) == 0.1)
+    assert np.all(sm.derivative_vec(rs) == 0.0)
+    # also where s t underflows to 0
+    t, s = np.array([2.0 ** -60, 0.1]), 2.0 ** -1070
+    assert np.all(sm.scaled_value_vec(t, s) == 0.1)
+    assert np.all(sm.scaled_derivative_vec(t, s) == 0.0)
+    # the sandwich theta(r) <= theta_tilde(r) <= theta(4r) across the grid's end
+    rs = np.geomspace(1e-4, 0.1, 300)
+    tt = sm.value_vec(rs)
+    assert np.all(sm.base.theta_vec(rs) <= tt)
+    assert np.all(tt <= sm.base.theta_vec(4.0 * rs) + 1e-15)
+    assert 0.1 < sm.value(0.003) < sm.base.theta_vec(0.012)
+
+
+def test_tabulated_selected_is_fast():
+    import time
+
+    sm = SmoothedModulus(ModulusSpec("tabulated", grid=log_inverse_grid(1e-9, 400)))
+    start = time.perf_counter()
+    sel = sm.selected(0.5)
+    assert time.perf_counter() - start < 2.0
+    assert sel.x0 == 2.0 ** -6
+
+
 # -- sandwich / monotonicity / derivative-bound invariants -----------------
 
 
-@pytest.mark.parametrize("sm", builtin_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
+@pytest.mark.parametrize("sm", all_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
 def test_sandwich_and_monotonicity(sm):
     x_star = select_x0(sm, 0.5)[1]
     rs = np.geomspace(1e-8, min(x_star / 4.0, sm.domain_hi * 0.999), 200)
@@ -193,7 +271,7 @@ def test_sandwich_and_monotonicity(sm):
     assert np.all(np.diff(tt) >= -EPS_Q)
 
 
-@pytest.mark.parametrize("sm", builtin_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
+@pytest.mark.parametrize("sm", all_cases(), ids=lambda s: s.base.kind + str(s.base.gamma))
 def test_derivative_bound(sm):
     x_star = select_x0(sm, 0.5)[1]
     rs = np.geomspace(1e-8, x_star / 4.0, 120)
