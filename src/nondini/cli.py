@@ -261,9 +261,9 @@ def _checks_hilbert(cfg: RunConfig, harm: HarmonicEvaluator):
 
     if p.mode == MODE_C1:
         viol = 0.0
-        for x in np.linspace(1e-3, 0.9 * p.sm.x_star, 20):
-            v = ev.k_htilde(float(x))
-            lo, hi = region_bracket(ev, float(x))
+        xs = np.linspace(1e-3, 0.9 * p.sm.x_star, 20)
+        for x, v in zip(xs.tolist(), ev.k_htilde_direct(xs).tolist()):
+            lo, hi = region_bracket(ev, x)
             viol = max(viol, lo - PI * v)
             if math.isfinite(hi):
                 viol = max(viol, PI * v - hi)

@@ -14,6 +14,14 @@ the tail (x_star <= 1/2). Each region then gets its own cancellation-free
 arrangement: the PV log terms are pulled out in closed form and the remaining
 integrands are difference quotients, bounded by local slope data.
 
+These direct formulas run for a batch of points at once: every point's rise
+integral and every point's bridge integral, each over its own edge list, go
+through one certified `gauss_graded` call each, so the integrand runs on
+chunks of nodes from many points. The bridge integrals away from [x0, x_star]
+all run over the same two cached grids, whose nodes do not depend on x; g
+there is read from a per-evaluator node memo. Each value has the bits of
+integrating that point alone.
+
 An independent principal-value quadrature oracle (symmetric excision with
 Richardson extrapolation in the excision radius) is provided for cross-checks;
 it only ever touches profile values, never the region formulas.
@@ -77,16 +85,18 @@ def K_heaviside(x: float):
 class HilbertEvaluator:
     """Piecewise-analytic evaluator of K Htilde and K f.
 
-    Pure after construction; point evaluations are memoized, and the vector
-    path uses a Chebyshev table of K Htilde over every nonzero double (built
-    lazily, with its observed sup error against the direct formulas
-    recorded; see KHtildeTable).
+    Pure after construction. The direct formulas evaluate a batch of points
+    at once (`k_htilde_direct`; `k_htilde` is a batch of one) and memoize
+    each point. The vector path uses a Chebyshev table of K Htilde over every
+    nonzero double (built lazily, with its observed sup error against the
+    direct formulas recorded; see KHtildeTable).
     """
 
     profile: TangentProfile
     quad_tol: float = 1e-10
 
     _memo: dict = field(default_factory=dict, repr=False)
+    _g_memo: dict = field(default_factory=dict, repr=False)
     _table: "KHtildeTable | None" = field(default=None, repr=False)
 
     # -- region formulas for pi * K Htilde -----------------------------------
@@ -105,118 +115,175 @@ class HilbertEvaluator:
 
     @functools.cached_property
     def _bridge_grids(self) -> dict:
-        """_int_bridge's cell edges, graded toward x0 and toward x_star."""
+        """The bridge integrals' cell edges, graded toward x0 and toward x_star."""
         x0, xs = self.bridge.x0, self.bridge.x_star
         return {f: self._bridge_edges(x0, xs, f, (xs - x0) * 1e-10) for f in (x0, xs)}
 
-    def _int_rise(self, x: float, shift: float) -> float:
-        """int_0^{x0} (theta_tilde(y) - shift) / (x - y) dy, x outside (0, x0).
+    def _rise_integrals(self, pts: list, ht0: float, hx: dict) -> np.ndarray:
+        """The rise integral of every point, in t = y/s (see _rise_scale):
 
-        Graded toward 0 where theta_tilde varies on every scale; the tail cell
-        at 0 contributes O(cell * theta_tilde / |x|), controlled by min_scale.
-        Integrated in t = y/s (see _rise_scale).
-        """
-        s = _rise_scale(x)
-        xt, x0t = x / s, self.bridge.x0 / s
-        # the first cell [0, min_scale] carries integrand magnitude ~ ht/|x|,
-        # so the grading floor must shrink with |x|
-        edges = graded_edges(0.0, x0t, 0.0, min_scale=min(abs(xt), x0t) * self.quad_tol)
-        if shift != 0.0 and xt > x0t:
-            # region (x0, x_star): the quotient turns over on scale x - x0 near y = x0
-            near = graded_edges(0.0, x0t, x0t, min_scale=max(xt - x0t, x0t * 1e-12))
-            edges = merge_edges(edges, near)
-        fn = lambda t: (self.sm.scaled_value_vec(t, s) - shift) / (xt - t)
-        return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
+          int_0^{x0} (theta_tilde(y) - shift) / (x - y) dy,  x outside (0, x0],
 
-    def _int_rise_pv(self, x: float) -> float:
-        """int_0^{x0} (theta_tilde(y) - theta_tilde(x)) / (x - y) dy, 0 < x <= x0.
+        with shift = theta_tilde(x0) on (x0, x_star) and 0 elsewhere, and the
+        principal value int_0^{x0} (theta_tilde(y) - theta_tilde(x)) / (x - y) dy
+        on 0 < x <= x0, with theta_tilde(x) = hx[x].
 
-        The integrand extends continuously by -theta_tilde'(x) at y = x; on a
-        window |y - x| < eta it is replaced by that difference-quotient limit
-        (error O(eta^2 * curvature), far below quad_tol for eta = 1e-6 x).
-        Integrated in t = y/s (see _rise_scale), where the limit is
+        Each is graded toward 0, where theta_tilde varies on every scale; the
+        first cell [0, min_scale] carries integrand magnitude ~ ht/|x|, so the
+        grading floor shrinks with |x|. On (x0, x_star) the quotient also turns
+        over on scale x - x0 near y = x0. In the principal value the integrand
+        extends continuously by -theta_tilde'(x) at y = x; on a window
+        |y - x| < eta = 1e-6 x it is replaced by that limit (error
+        O(eta^2 * curvature), far below quad_tol), which in t is
         -s theta_tilde'(x), finite down to the smallest double.
         """
-        s = _rise_scale(x)
-        xt, x0t = x / s, self.bridge.x0 / s
-        hx = self.sm.value(x)
-        slope = float(self.sm.scaled_derivative_vec(np.array([xt]), s)[0])
-        eta = 1e-6 * xt
+        x0, tol = self.bridge.x0, self.quad_tol
+        s, xt, x0t, shift, eta, slope, floor = (np.zeros(len(pts)) for _ in range(7))
+        near = {}  # point -> (focus, min_scale, extra edges) of a second grading
+        for i, x in enumerate(pts):
+            si = _rise_scale(x)
+            t, t0 = x / si, x0 / si
+            s[i], xt[i], x0t[i] = si, t, t0
+            if 0.0 < x <= x0:
+                shift[i] = hx[x]
+                eta[i] = 1e-6 * t
+                slope[i] = float(self.sm.scaled_derivative_vec(np.array([t]), si)[0])
+                floor[i] = t * tol
+                near[i] = (t, eta[i], [t] if 0 < t < t0 else [])
+            else:
+                shift[i] = ht0 if x0 < x < self.bridge.x_star else 0.0
+                floor[i] = min(abs(t), t0) * tol
+                if shift[i] != 0.0 and t > t0:
+                    near[i] = (t0, max(t - t0, t0 * 1e-12), [])
+        edges = graded_edges(0.0, x0t, 0.0, floor)
+        if near:
+            two = list(near)
+            second = graded_edges(0.0, x0t[two], np.array([near[i][0] for i in two]),
+                                  np.array([near[i][1] for i in two]))
+            for i, e in zip(two, second):
+                edges[i] = merge_edges(edges[i], e, near[i][2])
 
-        def fn(t):
-            out = np.empty_like(t)
-            near = np.abs(t - xt) < eta
-            out[near] = -slope
-            tt = t[~near]
-            out[~near] = (self.sm.scaled_value_vec(tt, s) - hx) / (xt - tt)
-            return out
+        def fn(t, owner):
+            # a node that rounds onto x lies in its window: the 0/0 there is
+            # replaced by the limit
+            xo = xt[owner]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                q = (self.sm.scaled_value_vec(t, s[owner]) - shift[owner]) / (xo - t)
+            if not eta[owner[0]:owner[-1] + 1].any():
+                return q
+            return np.where(np.abs(t - xo) < eta[owner], -slope[owner], q)
 
-        e1 = graded_edges(0.0, x0t, 0.0, min_scale=xt * self.quad_tol)
-        e2 = graded_edges(0.0, x0t, xt, min_scale=eta)
-        return gauss_graded(fn, merge_edges(e1, e2, [xt] if 0 < xt < x0t else []),
-                            tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, edges, tol=tol * 0.25)
 
-    def _int_bridge(self, x: float, shift: float, focus: float) -> float:
-        """int_{x0}^{x_star} (g(y) - shift) / (x - y) dy, x outside (x0, x_star)."""
-        fn = lambda y: (self.bridge.value_vec(y) - shift) / (x - y)
-        return gauss_graded(fn, self._bridge_grids[focus], tol=self.quad_tol * 0.25)
+    def _bridge_integrals(self, pts: list, ht0: float) -> np.ndarray:
+        """The bridge integral of every point:
 
-    def _int_bridge_pv(self, x: float) -> float:
-        """int_{x0}^{x_star} (g(y) - g(x)) / (x - y) dy, x0 <= x <= x_star."""
+          int_{x0}^{x_star} (g(y) - shift) / (x - y) dy,  x outside [x0, x_star],
+
+        with shift = theta_tilde(x0) on (0, x0), 1 beyond x_star and 0 below 0,
+        over the cached _bridge_grids; and on [x0, x_star] the principal value
+        int_{x0}^{x_star} (g(y) - g(x)) / (x - y) dy, taking -g'(x) on a window
+        |y - x| < 1e-8 (x_star - x0), over cells graded toward x.
+        """
         x0, xs = self.bridge.x0, self.bridge.x_star
-        gx = self.bridge.value(x)
-        dgx = self.bridge.slope(x)
-        eta = 1e-8 * (xs - x0)
+        at = np.array(pts)
+        pv = (at >= x0) & (at <= xs)
+        shift = np.where(at < 0.0, 0.0, np.where(at > xs, 1.0, ht0))
+        width = np.where(pv, 1e-8 * (xs - x0), 0.0)
+        slope = np.zeros_like(at)
+        edges = [self._bridge_grids[xs if x > xs else x0] for x in pts]
+        if pv.any():
+            shift[pv] = self.bridge.value_vec(at[pv])
+            slope[pv] = self.bridge.slope_vec(at[pv])
+            knots = [k for k in self.bridge.knots if x0 < k < xs]
+            for i, e in zip(np.flatnonzero(pv), graded_edges(x0, xs, at[pv], width[pv])):
+                edges[i] = merge_edges(e, knots, [x0, xs])
 
-        def fn(y):
-            out = np.empty_like(y)
-            near = np.abs(y - x) < eta
-            out[near] = -dgx
-            yy = y[~near]
-            out[~near] = (self.bridge.value_vec(yy) - gx) / (x - yy)
-            return out
+        def fn(y, owner):
+            xo = at[owner]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                q = (self._g_at(y, owner, pv) - shift[owner]) / (xo - y)
+            if not pv[owner[0]:owner[-1] + 1].any():
+                return q
+            return np.where(np.abs(y - xo) < width[owner], -slope[owner], q)
 
-        edges = self._bridge_edges(x0, xs, x, eta)
         return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
 
-    def _pi_k_htilde(self, x: float) -> float:
-        """pi * K Htilde(x) by the region-matched cancellation-free formulas."""
+    def _g_at(self, y: np.ndarray, owner: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        """g at the nodes y of the bridge integrals owner (pv: principal values).
+
+        The other integrals run over the _bridge_grids, whose nodes do not
+        depend on x: each of their runs of nodes is read from the node memo,
+        keyed by the run's bytes, or added to it.
+        """
+        off = pv[owner]
+        if off.all():
+            return self.bridge.value_vec(y)
+        g = np.empty_like(y)
+        if off.any():
+            g[off] = self.bridge.value_vec(y[off])
+        cut = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cut, cut + [y.size]):
+            if not off[lo]:
+                key = y[lo:hi].tobytes()
+                vals = self._g_memo.get(key)
+                if vals is None:
+                    vals = self._g_memo[key] = self.bridge.value_vec(y[lo:hi])
+                g[lo:hi] = vals
+        return g
+
+    def _pi_k_htilde_vec(self, pts: list) -> list:
+        """pi * K Htilde at nonzero points by the region-matched
+        cancellation-free formulas, all integrals of the batch at once."""
         x0, xs = self.bridge.x0, self.bridge.x_star
         ht0 = float(self.sm.value_vec(np.array([x0]))[0])
-        if x < 0.0:
-            return (self._int_rise(x, 0.0) + self._int_bridge(x, 0.0, x0)
-                    + math.log(xs - x))
-        if x <= x0:
-            hx = float(self.sm.value_vec(np.array([x]))[0])
-            out = hx * math.log(x) + (1.0 - ht0) * math.log(xs - x)
-            if x != x0:
-                out += (ht0 - hx) * math.log(x0 - x)
-            out += self._int_rise_pv(x)
-            out += (self._int_bridge_pv(x0) if x == x0
-                    else self._int_bridge(x, ht0, x0))
-            return out
-        if x < xs:
-            gx = self.bridge.value(x)
-            return (ht0 * math.log(x) + (gx - ht0) * math.log(x - x0)
-                    + (1.0 - gx) * math.log(xs - x)
-                    + self._int_rise(x, ht0) + self._int_bridge_pv(x))
-        out = self._int_rise(x, 0.0) + math.log(x - x0)
-        out += (self._int_bridge_pv(xs) if x == xs
-                else self._int_bridge(x, 1.0, xs))
+        hx = {x: self.sm.value(x) for x in pts if 0.0 < x <= x0}
+        rise = self._rise_integrals(pts, ht0, hx)
+        bridge = self._bridge_integrals(pts, ht0)
+        gs = self.bridge.value_vec(np.array(pts))
+        out = []
+        for x, gx, r, b in zip(pts, gs, rise, bridge):
+            if x < 0.0:
+                out.append(r + b + math.log(xs - x))
+            elif x <= x0:
+                v = hx[x] * math.log(x) + (1.0 - ht0) * math.log(xs - x)
+                if x != x0:
+                    v += (ht0 - hx[x]) * math.log(x0 - x)
+                v += r
+                v += b
+                out.append(v)
+            elif x < xs:
+                out.append(ht0 * math.log(x) + (gx - ht0) * math.log(x - x0)
+                           + (1.0 - gx) * math.log(xs - x) + r + b)
+            else:
+                v = r + math.log(x - x0)
+                v += b
+                out.append(v)
         return out
 
     # -- public evaluation ----------------------------------------------------
 
     def k_htilde(self, x: float):
-        """K Htilde(x); -inf at x = 0."""
+        """K Htilde(x) by the direct region formulas; -inf at x = 0."""
+        if self.profile.mode == MODE_C1 and float(x) in self._memo:
+            return self._memo[float(x)]
+        return float(self.k_htilde_direct(np.array([x]))[0])
+
+    def k_htilde_direct(self, u) -> np.ndarray:
+        """K Htilde at every point of u by the direct region formulas, with one
+        batch for the points not yet memoized: IEEE -inf at exact zeros; NaN
+        raises ValueError."""
         if self.profile.mode != MODE_C1:
             raise ValueError("K Htilde needs a c1 profile (Lipschitz mode has no Htilde)")
-        if x == 0.0:
-            return -math.inf
-        key = float(x)
-        if key not in self._memo:
-            self._memo[key] = self._pi_k_htilde(key) / PI
-        return self._memo[key]
+        u = np.asarray(u, dtype=float)
+        if np.isnan(u).any():
+            raise ValueError("K Htilde of NaN: the argument must be a number")
+        keys = u.ravel().tolist()
+        new = sorted({x for x in keys if x != 0.0 and x not in self._memo})
+        for x, v in zip(new, self._pi_k_htilde_vec(new) if new else []):
+            self._memo[x] = v / PI
+        return np.array([self._memo[x] if x != 0.0 else -np.inf for x in keys],
+                        dtype=float).reshape(u.shape)
 
     def table(self) -> "KHtildeTable":
         if self._table is None:
@@ -247,14 +314,12 @@ class HilbertEvaluator:
         """(K f(x), -inf at a jump; regular part without the nearest jump's term)."""
         p = self.profile
         k_near = min(range(p.K), key=lambda k: abs(x - p.x[k]))
-        terms = []
-        for ak, xk in zip(p.a, p.x):
-            u = x - xk
-            if p.mode == MODE_LIPSCHITZ:
-                t = K_heaviside(u)
-            else:
-                t = self.k_htilde(u)
-            terms.append((ak, t))
+        us = [x - xk for xk in p.x]
+        if p.mode == MODE_LIPSCHITZ:
+            ks = [K_heaviside(u) for u in us]
+        else:
+            ks = self.k_htilde_direct(np.array(us)).tolist()
+        terms = list(zip(p.a, ks))
         regular = p.c * math.fsum(ak * t for i, (ak, t) in enumerate(terms)
                                   if i != k_near and t != -math.inf)
         if any(t == -math.inf for i, (ak, t) in enumerate(terms) if i != k_near):
@@ -450,6 +515,12 @@ class KHtildeTable:
     three zones of both branches, one point in every mid piece of each
     branch, and +-2^MIN_EXP, and records the observed sup error against the
     direct evaluator, which must stay below CHECK_TOL.
+
+    The build runs breadth first: one batch of direct evaluations for the
+    fit points of every a-priori piece of the six groups, then one batch per
+    generation of halved mid pieces, then one for the check points; the kept
+    pieces are put back in order of v. The table is the one a depth-first
+    build, one point at a time, gives, bit for bit.
     """
 
     DEG = 23
@@ -509,36 +580,41 @@ class KHtildeTable:
     def build(cls, ev: HilbertEvaluator) -> "KHtildeTable":
         nodes = np.cos(np.pi * (np.arange(cls.DEG + 1) + 0.5) / (cls.DEG + 1))
 
-        def fit(group, lo, hi):
+        def sample(group, lo, hi):
+            """(u, w, |u|): a piece's fit arguments and their Chebyshev variable."""
             sign, zone = (-1.0 if group >= 3 else 1.0), group % 3
             x = lo + 0.5 * (nodes + 1.0) * (hi - lo)
             if zone == MID:
-                vals = np.array([ev.k_htilde(float(sign * 2.0 ** xi)) for xi in x])
-                return np.polynomial.chebyshev.chebfit(nodes, vals, cls.DEG)
+                return np.array([float(sign * 2.0 ** xi) for xi in x]), nodes, None
             # deep magnitudes round to subnormals and far ones in the division,
             # so the fit takes the variable of the rounded u
             au = 2.0 ** -(2.0 ** x) if zone == DEEP else 2.0 ** cls.HI_EXP / x
             w = 2.0 * (cls._variable(zone, au, np.log2(au)) - lo) / (hi - lo) - 1.0
-            vals = np.array([ev.k_htilde(float(sign * a)) for a in au])
-            if zone == FAR:
-                vals = PI * vals - np.log(au)
-            return np.polynomial.chebyshev.chebfit(w, vals, cls.DEG)
+            return np.array([float(sign * a) for a in au]), w, au
 
         layout = cls._mid_layout(ev)
         floor = min(float(np.min(np.diff(e))) for e in layout)
+        deep = np.log2([-cls.LO_EXP, -cls.MIN_EXP])
+        far = np.array([0.0, 1.0])
+        ends = [deep, layout[0], far, deep, layout[1], far]
 
-        def fit_mid(group, ends):
-            """Kept (piece ends, coefficient rows) of a mid group, halving in v
-            every piece whose Chebyshev tail exceeds TAIL_TOL."""
-            kept, rows = [ends[0]], []
-            todo = list(zip(ends[:-1], ends[1:]))[::-1]
-            while todo:
-                lo, hi = todo.pop()
-                c = fit(group, lo, hi)
+        # breadth first: one direct batch for the a-priori pieces of all six
+        # groups, then one per generation of halves of the mid pieces whose
+        # Chebyshev tail exceeds TAIL_TOL
+        pieces = [(g, lo, hi) for g, e in enumerate(ends) for lo, hi in zip(e[:-1], e[1:])]
+        kept = []
+        while pieces:
+            samples = [sample(*piece) for piece in pieces]
+            direct = ev.k_htilde_direct(np.concatenate([u for u, _, _ in samples]))
+            halves = []
+            for (group, lo, hi), (_, w, au), vals in zip(
+                    pieces, samples, direct.reshape(len(pieces), -1)):
+                if group % 3 == FAR:
+                    vals = PI * vals - np.log(au)
+                c = np.polynomial.chebyshev.chebfit(w, vals, cls.DEG)
                 tail = float(np.max(np.abs(c[-3:])))
-                if tail <= cls.TAIL_TOL:
-                    kept.append(hi)
-                    rows.append(c)
+                if group % 3 != MID or tail <= cls.TAIL_TOL:
+                    kept.append((group, lo, hi, c))
                 elif hi - lo <= floor:
                     raise QuadratureError(
                         f"K Htilde table: Chebyshev tail {tail:.3e} > {cls.TAIL_TOL:.1e} "
@@ -546,20 +622,12 @@ class KHtildeTable:
                         f"{'< 0' if group >= 3 else '> 0'})")
                 else:
                     mid = 0.5 * (lo + hi)
-                    todo += [(mid, hi), (lo, mid)]
-            return np.array(kept), rows
-
-        deep = np.log2([-cls.LO_EXP, -cls.MIN_EXP])
-        far = np.array([0.0, 1.0])
-        edges, coef = [], []
-        for group, e in enumerate([deep, layout[0], far, deep, layout[1], far]):
-            if group % 3 == MID:
-                e, rows = fit_mid(group, e)
-            else:
-                rows = [fit(group, e[0], e[1])]
-            edges.append(e)
-            coef.extend(rows)
-        table = cls(edges, np.array(coef), 0.0)
+                    halves += [(group, lo, mid), (group, mid, hi)]
+            pieces = halves
+        kept.sort(key=lambda k: (k[0], k[1]))
+        edges = [e if g % 3 != MID else np.array([e[0]] + [hi for k, _, hi, _ in kept if k == g])
+                 for g, e in enumerate(ends)]
+        table = cls(edges, np.array([c for *_, c in kept]), 0.0)
 
         # per branch: random points in each zone's variable, and 2^MIN_EXP;
         # then one random point in every mid piece of each branch
@@ -574,7 +642,7 @@ class KHtildeTable:
         pieces = [sign * 2.0 ** rng.uniform(e[:-1], e[1:])
                   for sign, e in ((1.0, edges[MID]), (-1.0, edges[3 + MID]))]
         us = np.concatenate([mags, -mags, *pieces])
-        direct = np.array([ev.k_htilde(float(u)) for u in us])
+        direct = ev.k_htilde_direct(us)
         err = float(np.max(np.abs(table.eval_vec(us) - direct)))
         if not err <= cls.CHECK_TOL:
             raise QuadratureError(f"K Htilde table check failed: sup err {err:.3e}")

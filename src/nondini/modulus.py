@@ -52,13 +52,21 @@ _DINI_DIVERGED_SUM = 40.0
 _TINY = np.finfo(float).tiny
 
 
-def _neg_log(t: np.ndarray, s: float) -> np.ndarray:
-    """-ln(s t) for a power of two s, from ln t + ln s where s t is subnormal."""
+def _neg_log(t: np.ndarray, s) -> np.ndarray:
+    """-ln(s t) for a power of two s, or an array of them (one per t), from
+    ln t + ln s where s t is subnormal; ln s is math.log(s) either way."""
     r = s * t
     if r.size == 0 or r.min() >= _TINY:
         return -np.log(r)
+    if np.ndim(s):
+        low = r < _TINY
+        scales, which = np.unique(s[low], return_inverse=True)
+        ln_s = np.zeros_like(r)
+        ln_s[low] = np.array([math.log(v) for v in scales])[which]
+    else:
+        ln_s = math.log(s)
     with np.errstate(divide="ignore"):
-        return np.where(r < _TINY, -(np.log(t) + math.log(s)), -np.log(r))
+        return np.where(r < _TINY, -(np.log(t) + ln_s), -np.log(r))
 
 
 class DiniClass(enum.Enum):
@@ -202,12 +210,13 @@ class SmoothedModulus:
         """Vectorized theta_tilde, closed-form for builtins, no domain checks."""
         return self.scaled_value_vec(r, 1.0)
 
-    def scaled_value_vec(self, t: np.ndarray, s: float) -> np.ndarray:
+    def scaled_value_vec(self, t: np.ndarray, s) -> np.ndarray:
         """theta_tilde(s t) for a power of two s, no domain checks.
 
-        Wherever s t is a normal double this is exactly value_vec(s t); below
-        that the log_inverse form takes ln(s t) = ln t + ln s, so it stays
-        accurate down to the smallest double and beyond.
+        s may also be an array of powers of two, one per t. Wherever s t is a
+        normal double this is exactly value_vec(s t); below that the
+        log_inverse form takes ln(s t) = ln t + ln s, so it stays accurate
+        down to the smallest double and beyond.
         """
         t = np.asarray(t, dtype=float)
         kind = self.base.kind

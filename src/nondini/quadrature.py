@@ -47,6 +47,10 @@ class QuadratureError(RuntimeError):
 
 
 _RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# nodes per integrand call: 128 KiB of doubles, below glibc's default mmap
+# threshold, so an integrand's temporaries reuse heap pages instead of
+# faulting in fresh ones
+_CHUNK = 8192
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,15 +70,34 @@ def gauss_nodes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return a[:, None] + (t[None, :] + 1.0) * (0.5 * (b - a))[:, None]
 
 
-def gauss_cell_values(fn, a: np.ndarray, b: np.ndarray, n: int = 15) -> np.ndarray:
-    """One n-point Gauss value per cell [a_i, b_i], from a single call of fn.
+def _node_values(fn, a: np.ndarray, b: np.ndarray, n: int, owner=None) -> np.ndarray:
+    """fn at the n-point Gauss nodes of the cells [a_i, b_i], as a (cells, n) array.
 
-    fn is vectorized. Gauss nodes are strictly interior, so an integrable
-    singularity sitting exactly on a cell edge is never evaluated.
+    fn is called on whole cells, at most _CHUNK nodes at a time; with `owner`
+    (one entry per cell) it is called as fn(y, owner of each node).
     """
-    nodes = gauss_nodes(a, b, n)
-    vals = np.asarray(fn(nodes.ravel())).reshape(nodes.shape)
-    return (vals @ gauss_rule(n)[1]) * (0.5 * (b - a))
+    rows = max(1, _CHUNK // n)
+    vals = None
+    for i in range(0, a.size, rows):
+        y = gauss_nodes(a[i:i + rows], b[i:i + rows], n).ravel()
+        v = np.asarray(fn(y) if owner is None else fn(y, np.repeat(owner[i:i + rows], n)))
+        if a.size <= rows:
+            return v.reshape(a.size, n)
+        if vals is None:
+            vals = np.empty(a.size * n, dtype=v.dtype)
+        vals[i * n:i * n + y.size] = v
+    return np.empty((0, n)) if vals is None else vals.reshape(a.size, n)
+
+
+def gauss_cell_values(fn, a: np.ndarray, b: np.ndarray, n: int = 15) -> np.ndarray:
+    """One n-point Gauss value per cell [a_i, b_i].
+
+    fn is vectorized and called on at most _CHUNK nodes at a time, so its
+    temporaries stay small; the values are those of one call on every node.
+    Gauss nodes are strictly interior, so an integrable singularity sitting
+    exactly on a cell edge is never evaluated.
+    """
+    return (_node_values(fn, a, b, n) @ gauss_rule(n)[1]) * (0.5 * (b - a))
 
 
 def gauss_cells(fn, edges, n: int = 15):
@@ -88,13 +111,20 @@ def gauss_cells(fn, edges, n: int = 15):
     return gauss_cell_values(fn, edges[:-1], edges[1:], n).sum()
 
 
-def graded_edges(a: float, b: float, focus: float, min_scale: float) -> np.ndarray:
+def graded_edges(a, b, focus, min_scale):
     """Cell edges on [a, b], geometrically refined toward `focus`.
 
     Edge distances from `focus` double starting at `min_scale`; edges outside
     (a, b) are dropped, so a focus outside the interval just grades the near
     endpoint. `focus` itself becomes an edge when interior.
+
+    Scalars give one increasing edge array. Arrays broadcast and give a list
+    of edge arrays, one per element, from one vectorized pass: the distances
+    min_scale * 2^j are exact, so each element gets the edges of a scalar
+    call with its own arguments.
     """
+    if any(isinstance(v, np.ndarray) and v.ndim for v in (a, b, focus, min_scale)):
+        return _graded_edges_vec(a, b, focus, min_scale)
     if not (b > a):
         raise ValueError("need a < b")
     if min_scale <= 0.0:
@@ -112,30 +142,109 @@ def graded_edges(a: float, b: float, focus: float, min_scale: float) -> np.ndarr
     return np.array(sorted(out))
 
 
+def _graded_edges_vec(a, b, focus, min_scale) -> list:
+    """graded_edges for arrays: one vectorized pass over every element."""
+    a, b, focus, scale = (v.ravel() for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, focus, min_scale))))
+    if a.size == 0:
+        return []
+    if not np.all(b > a):
+        raise ValueError("need a < b")
+    if np.any(scale <= 0.0):
+        raise ValueError("min_scale must be positive")
+    dmax = np.maximum(np.abs(a - focus), np.abs(b - focus))
+    # the number of j >= 0 with scale * 2^j < dmax, from the binary exponents
+    m1, e1 = np.frexp(scale)
+    m2, e2 = np.frexp(dmax)
+    count = np.where(scale < dmax, e2 - e1 + (m1 < m2), 0)
+    row = np.repeat(np.arange(a.size), count)
+    d = np.ldexp(scale[row], np.arange(row.size) - np.repeat(np.cumsum(count) - count, count))
+    every = np.arange(a.size)
+    cand = (a, b, focus, focus[row] - d, focus[row] + d)
+    owner = (every, every, every, row, row)
+    keep = [np.ones(a.size, bool), np.ones(a.size, bool)] + [
+        (a[r] < s) & (s < b[r]) for s, r in zip(cand[2:], owner[2:])]
+    vals = np.concatenate([s[k] for s, k in zip(cand, keep)])
+    rows = np.concatenate([r[k] for r, k in zip(owner, keep)])
+    order = np.lexsort((vals, rows))
+    vals, rows = vals[order], rows[order]
+    new = np.ones(vals.size, bool)
+    new[1:] = (vals[1:] != vals[:-1]) | (rows[1:] != rows[:-1])
+    vals, rows = vals[new], rows[new]
+    return np.split(vals, np.cumsum(np.bincount(rows, minlength=a.size))[:-1])
+
+
 def merge_edges(*edge_sets) -> np.ndarray:
     """Sorted union of edge lists, duplicates dropped."""
     return np.unique(np.concatenate([np.asarray(e, dtype=float) for e in edge_sets]))
 
 
-def gauss_graded(fn, edges, tol: float, max_rounds: int = 3):
-    """Certified Gauss-cell integration over a prescribed edge list.
+def _cell_sums(fn, edges: list, todo: list, n: int) -> list:
+    """gauss_cells of each integral in `todo` at order n, fn(y, owner).
 
-    Orders 15 and 23 must agree within tol (absolute or relative, whichever
-    is looser); otherwise every cell is halved and the comparison repeated.
-    Returns the order-23 value; after max_rounds failed rounds raises
-    QuadratureError carrying the last measured error.
+    Whole integrals share one integrand call up to _CHUNK nodes (a larger one
+    gets its own, chunked by _node_values); each sum is reduced alone, in
+    gauss_cells' shapes, so it has gauss_cells' bits.
     """
-    edges = np.asarray(edges, dtype=float)
-    err = math.inf
+    w = gauss_rule(n)[1]
+    sums = []
+    start = 0
+    while start < len(todo):
+        stop, size = start + 1, (edges[todo[start]].size - 1) * n
+        while stop < len(todo) and size + (edges[todo[stop]].size - 1) * n <= _CHUNK:
+            size += (edges[todo[stop]].size - 1) * n
+            stop += 1
+        group = todo[start:stop]
+        a = np.concatenate([edges[i][:-1] for i in group])
+        b = np.concatenate([edges[i][1:] for i in group])
+        cells = [edges[i].size - 1 for i in group]
+        vals = _node_values(fn, a, b, n, np.repeat(group, cells))
+        cell = np.empty(a.size, dtype=vals.dtype)
+        bounds = np.cumsum([0] + cells).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.matmul(vals[lo:hi], w, out=cell[lo:hi])
+        cell *= 0.5 * (b - a)
+        sums += [cell[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
+        start = stop
+    return sums
+
+
+def gauss_graded(fn, edges, tol: float, max_rounds: int = 3):
+    """Certified Gauss-cell integration of a batch of integrals, each over its
+    own prescribed edge list.
+
+    `edges` is a list of increasing edge arrays, and fn(y, owner) evaluates at
+    each node y[i] the integrand of integral owner[i]; the batch returns an
+    array of values. A single edge array is a batch of one with fn(y), and
+    returns its value. For each integral, orders 15 and 23 must agree within
+    tol (absolute or relative, whichever is looser); otherwise that
+    integral's cells are halved and the comparison repeated, while the
+    integrals already certified are left alone. Returns the order-23 values;
+    after max_rounds failed rounds raises QuadratureError carrying the
+    measured error of the first integral that failed. Every value has the
+    bits of integrating its integral alone.
+    """
+    if not len(edges) or np.ndim(edges[0]) == 0:
+        return gauss_graded(lambda y, owner: fn(y), [edges], tol, max_rounds)[0]
+    edges = [np.asarray(e, dtype=float) for e in edges]
+    out = [0.0] * len(edges)
+    err = [math.inf] * len(edges)
+    todo = list(range(len(edges)))
     for _ in range(max_rounds):
-        v1 = gauss_cells(fn, edges, 15)
-        v2 = gauss_cells(fn, edges, 23)
-        err = abs(v1 - v2)
-        if err <= max(tol, tol * abs(v2)):
-            return v2
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate([edges, mids]))
-    raise QuadratureError(f"graded rule stalled at {err:.3e} (tol {tol:.3e})")
+        v1 = _cell_sums(fn, edges, todo, 15)
+        v2 = _cell_sums(fn, edges, todo, 23)
+        failed = []
+        for i, lo, hi in zip(todo, v1, v2):
+            err[i] = abs(lo - hi)
+            out[i] = hi
+            if not err[i] <= max(tol, tol * abs(hi)):
+                e = edges[i]
+                edges[i] = np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])]))
+                failed.append(i)
+        todo = failed
+        if not todo:
+            return np.array(out)
+    raise QuadratureError(f"graded rule stalled at {err[todo[0]]:.3e} (tol {tol:.3e})")
 
 
 def integrate_power_endpoint(fn, a, b, p, side: str):

@@ -5,6 +5,11 @@ faster (the fast path must match them); the others are independent checks
 of a closed form or an identity (the Poisson integral of Kf, the
 nested-quadrature smoothed modulus, the elementary log integral). `quad_scalar`
 is scipy's adaptive quadrature; the library itself needs no scipy.
+
+The per-point region formulas of K Htilde (`pi_k_htilde` and its four
+integrals) and the depth-first table build on top of them
+(`build_table_sequential`) are the form the batched direct path and the
+breadth-first `KHtildeTable.build` must match bit for bit.
 """
 
 import cmath
@@ -13,6 +18,7 @@ import math
 import numpy as np
 
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
+from nondini.hilbert import DEEP, FAR, MID, KHtildeTable, _rise_scale
 from nondini.measure import _phi_from
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import (
@@ -255,3 +261,188 @@ def derivative_by_quadrature(sm, r):
     """theta_tilde'(r) as a difference of two adaptive inner averages."""
     sm._check_domain(r)
     return (_theta_average(sm, 2.0 * r) - _theta_average(sm, r)) / (r * LN2 * LN2)
+
+
+# -- K Htilde by the per-point region formulas ----------------------------------
+
+
+def int_rise(ev, x: float, shift: float) -> float:
+    """int_0^{x0} (theta_tilde(y) - shift) / (x - y) dy, x outside (0, x0).
+
+    Graded toward 0 where theta_tilde varies on every scale; the tail cell
+    at 0 contributes O(cell * theta_tilde / |x|), controlled by min_scale.
+    Integrated in t = y/s (see _rise_scale).
+    """
+    s = _rise_scale(x)
+    xt, x0t = x / s, ev.bridge.x0 / s
+    # the first cell [0, min_scale] carries integrand magnitude ~ ht/|x|,
+    # so the grading floor must shrink with |x|
+    edges = graded_edges(0.0, x0t, 0.0, min_scale=min(abs(xt), x0t) * ev.quad_tol)
+    if shift != 0.0 and xt > x0t:
+        # region (x0, x_star): the quotient turns over on scale x - x0 near y = x0
+        near = graded_edges(0.0, x0t, x0t, min_scale=max(xt - x0t, x0t * 1e-12))
+        edges = merge_edges(edges, near)
+    fn = lambda t: (ev.sm.scaled_value_vec(t, s) - shift) / (xt - t)
+    return gauss_graded(fn, edges, tol=ev.quad_tol * 0.25)
+
+
+def int_rise_pv(ev, x: float) -> float:
+    """int_0^{x0} (theta_tilde(y) - theta_tilde(x)) / (x - y) dy, 0 < x <= x0.
+
+    The integrand extends continuously by -theta_tilde'(x) at y = x; on a
+    window |y - x| < eta it is replaced by that difference-quotient limit
+    (error O(eta^2 * curvature), far below quad_tol for eta = 1e-6 x).
+    Integrated in t = y/s (see _rise_scale), where the limit is
+    -s theta_tilde'(x), finite down to the smallest double.
+    """
+    s = _rise_scale(x)
+    xt, x0t = x / s, ev.bridge.x0 / s
+    hx = ev.sm.value(x)
+    slope = float(ev.sm.scaled_derivative_vec(np.array([xt]), s)[0])
+    eta = 1e-6 * xt
+
+    def fn(t):
+        out = np.empty_like(t)
+        near = np.abs(t - xt) < eta
+        out[near] = -slope
+        tt = t[~near]
+        out[~near] = (ev.sm.scaled_value_vec(tt, s) - hx) / (xt - tt)
+        return out
+
+    e1 = graded_edges(0.0, x0t, 0.0, min_scale=xt * ev.quad_tol)
+    e2 = graded_edges(0.0, x0t, xt, min_scale=eta)
+    return gauss_graded(fn, merge_edges(e1, e2, [xt] if 0 < xt < x0t else []),
+                        tol=ev.quad_tol * 0.25)
+
+
+def int_bridge(ev, x: float, shift: float, focus: float) -> float:
+    """int_{x0}^{x_star} (g(y) - shift) / (x - y) dy, x outside (x0, x_star)."""
+    fn = lambda y: (ev.bridge.value_vec(y) - shift) / (x - y)
+    return gauss_graded(fn, ev._bridge_grids[focus], tol=ev.quad_tol * 0.25)
+
+
+def int_bridge_pv(ev, x: float) -> float:
+    """int_{x0}^{x_star} (g(y) - g(x)) / (x - y) dy, x0 <= x <= x_star."""
+    x0, xs = ev.bridge.x0, ev.bridge.x_star
+    gx = ev.bridge.value(x)
+    dgx = ev.bridge.slope(x)
+    eta = 1e-8 * (xs - x0)
+
+    def fn(y):
+        out = np.empty_like(y)
+        near = np.abs(y - x) < eta
+        out[near] = -dgx
+        yy = y[~near]
+        out[~near] = (ev.bridge.value_vec(yy) - gx) / (x - yy)
+        return out
+
+    edges = ev._bridge_edges(x0, xs, x, eta)
+    return gauss_graded(fn, edges, tol=ev.quad_tol * 0.25)
+
+
+def pi_k_htilde(ev, x: float) -> float:
+    """pi * K Htilde(x) by the region-matched formulas, one point at a time."""
+    x0, xs = ev.bridge.x0, ev.bridge.x_star
+    ht0 = float(ev.sm.value_vec(np.array([x0]))[0])
+    if x < 0.0:
+        return (int_rise(ev, x, 0.0) + int_bridge(ev, x, 0.0, x0)
+                + math.log(xs - x))
+    if x <= x0:
+        hx = float(ev.sm.value_vec(np.array([x]))[0])
+        out = hx * math.log(x) + (1.0 - ht0) * math.log(xs - x)
+        if x != x0:
+            out += (ht0 - hx) * math.log(x0 - x)
+        out += int_rise_pv(ev, x)
+        out += (int_bridge_pv(ev, x0) if x == x0
+                else int_bridge(ev, x, ht0, x0))
+        return out
+    if x < xs:
+        gx = ev.bridge.value(x)
+        return (ht0 * math.log(x) + (gx - ht0) * math.log(x - x0)
+                + (1.0 - gx) * math.log(xs - x)
+                + int_rise(ev, x, ht0) + int_bridge_pv(ev, x))
+    out = int_rise(ev, x, 0.0) + math.log(x - x0)
+    out += (int_bridge_pv(ev, xs) if x == xs
+            else int_bridge(ev, x, 1.0, xs))
+    return out
+
+
+def build_table_sequential(ev, cls=KHtildeTable):
+    """cls.build as one depth-first pass over the pieces, each fit from
+    per-point K Htilde (`pi_k_htilde`, memoized here and not in ev)."""
+    memo = {}
+
+    def k_htilde(u: float):
+        if u == 0.0:
+            return -math.inf
+        if u not in memo:
+            memo[u] = pi_k_htilde(ev, u) / PI
+        return memo[u]
+
+    nodes = np.cos(np.pi * (np.arange(cls.DEG + 1) + 0.5) / (cls.DEG + 1))
+
+    def fit(group, lo, hi):
+        sign, zone = (-1.0 if group >= 3 else 1.0), group % 3
+        x = lo + 0.5 * (nodes + 1.0) * (hi - lo)
+        if zone == MID:
+            vals = np.array([k_htilde(float(sign * 2.0 ** xi)) for xi in x])
+            return np.polynomial.chebyshev.chebfit(nodes, vals, cls.DEG)
+        au = 2.0 ** -(2.0 ** x) if zone == DEEP else 2.0 ** cls.HI_EXP / x
+        w = 2.0 * (cls._variable(zone, au, np.log2(au)) - lo) / (hi - lo) - 1.0
+        vals = np.array([k_htilde(float(sign * a)) for a in au])
+        if zone == FAR:
+            vals = PI * vals - np.log(au)
+        return np.polynomial.chebyshev.chebfit(w, vals, cls.DEG)
+
+    layout = cls._mid_layout(ev)
+    floor = min(float(np.min(np.diff(e))) for e in layout)
+
+    def fit_mid(group, ends):
+        kept, rows = [ends[0]], []
+        todo = list(zip(ends[:-1], ends[1:]))[::-1]
+        while todo:
+            lo, hi = todo.pop()
+            c = fit(group, lo, hi)
+            tail = float(np.max(np.abs(c[-3:])))
+            if tail <= cls.TAIL_TOL:
+                kept.append(hi)
+                rows.append(c)
+            elif hi - lo <= floor:
+                raise QuadratureError(
+                    f"K Htilde table: Chebyshev tail {tail:.3e} > {cls.TAIL_TOL:.1e} "
+                    f"on the innermost piece [{lo!r}, {hi!r}] of log2|u| (u "
+                    f"{'< 0' if group >= 3 else '> 0'})")
+            else:
+                mid = 0.5 * (lo + hi)
+                todo += [(mid, hi), (lo, mid)]
+        return np.array(kept), rows
+
+    deep = np.log2([-cls.LO_EXP, -cls.MIN_EXP])
+    far = np.array([0.0, 1.0])
+    edges, coef = [], []
+    for group, e in enumerate([deep, layout[0], far, deep, layout[1], far]):
+        if group % 3 == MID:
+            e, rows = fit_mid(group, e)
+        else:
+            rows = [fit(group, e[0], e[1])]
+        edges.append(e)
+        coef.extend(rows)
+    table = cls(edges, np.array(coef), 0.0)
+
+    rng = np.random.default_rng(123456789)
+    q = cls.N_CHECK // 16
+    mags = np.concatenate([
+        2.0 ** rng.uniform(cls.LO_EXP, cls.HI_EXP, 6 * q - 1),
+        2.0 ** -(2.0 ** rng.uniform(deep[0], deep[1], q)),
+        2.0 ** cls.HI_EXP / rng.uniform(0.0, 1.0, q),
+        [2.0 ** cls.MIN_EXP],
+    ])
+    pieces = [sign * 2.0 ** rng.uniform(e[:-1], e[1:])
+              for sign, e in ((1.0, edges[MID]), (-1.0, edges[3 + MID]))]
+    us = np.concatenate([mags, -mags, *pieces])
+    direct = np.array([k_htilde(float(u)) for u in us])
+    err = float(np.max(np.abs(table.eval_vec(us) - direct)))
+    if not err <= cls.CHECK_TOL:
+        raise QuadratureError(f"K Htilde table check failed: sup err {err:.3e}")
+    table.max_err = err
+    return table

@@ -131,9 +131,9 @@ def test_criterion_03_region_bounds(ev_c1):
     slack = 10.0 * ev_c1.quad_tol
     worst = -math.inf
     violations = 0
-    for x in xs:
-        pik = PI * ev_c1.k_htilde(float(x))
-        lo, hi = region_bracket(ev_c1, float(x))
+    for x, k in zip(xs.tolist(), ev_c1.k_htilde_direct(xs).tolist()):
+        pik = PI * k
+        lo, hi = region_bracket(ev_c1, x)
         over = max(lo - pik, pik - hi)
         worst = max(worst, over)
         if over > slack:

@@ -17,7 +17,13 @@ from nondini.hilbert import (
 )
 from nondini.quadrature import QuadratureError
 
-from oracles import k_htilde_per_piece, pv_log_integral, quad_scalar
+from oracles import (
+    build_table_sequential,
+    k_htilde_per_piece,
+    pi_k_htilde,
+    pv_log_integral,
+    quad_scalar,
+)
 
 PI = math.pi
 
@@ -151,11 +157,9 @@ def test_region_brackets_500_samples(ev_c1):
         np.geomspace(1e-9, x0 * 0.999, 100),
         -np.geomspace(1e-9, 1.9, 100),
     ])
-    for x in xs:
-        x = float(x)
-        if abs(x) < 1e-12:
-            continue
-        pik = PI * ev_c1.k_htilde(x)
+    xs = xs[np.abs(xs) >= 1e-12]
+    for x, k in zip(xs.tolist(), ev_c1.k_htilde_direct(xs).tolist()):
+        pik = PI * k
         lo, hi = region_bracket(ev_c1, x)
         slack = 1e-9 * (1.0 + abs(pik))
         assert lo - slack <= pik <= hi + slack, f"x={x}: {lo} .. {pik} .. {hi}"
@@ -256,7 +260,7 @@ def test_table_accuracy_and_zeros(ev_c1):
         assert abs(v - ev_c1.k_htilde(float(u))) < 1e-9
     # deep and far arguments come from their own pieces, not a fallback
     far = np.array([2.0 ** 20, -(2.0 ** 20), 2.0 ** -55])
-    direct = np.array([ev_c1.k_htilde(float(u)) for u in far])
+    direct = ev_c1.k_htilde_direct(far)
     assert np.allclose(ev_c1.k_htilde_vec(far), direct, atol=1e-12)
 
 
@@ -292,7 +296,7 @@ def test_mid_layout_accuracy(ev_c1):
     rng = np.random.default_rng(21)
     mags = 2.0 ** rng.uniform(tab.LO_EXP, tab.HI_EXP, 300)
     us = np.concatenate([near, mags, -mags])
-    direct = np.array([ev_c1.k_htilde(float(u)) for u in us])
+    direct = ev_c1.k_htilde_direct(us)
     assert np.max(np.abs(tab.eval_vec(us) - direct)) <= 5e-15
     # every kept mid piece passed the tail test, and the self-check held
     rows = np.concatenate([tab.coef[tab.first[g]:tab.first[g] + len(tab.edges[g]) - 1]
@@ -351,8 +355,7 @@ def test_kf_vec_is_the_per_jump_sum(ev_c1):
 def test_deep_and_far_pieces_match_direct(ev_c1, e):
     us = np.array([2.0 ** e, -(2.0 ** e)])
     vals = ev_c1.k_htilde_vec(us)
-    for u, v in zip(us, vals):
-        assert abs(v - ev_c1.k_htilde(float(u))) < 1e-12
+    assert np.all(np.abs(vals - ev_c1.k_htilde_direct(us)) < 1e-12)
 
 
 def test_k_htilde_finite_at_the_floor(ev_c1):
@@ -376,3 +379,78 @@ def test_oracle_window_stays_clear_of_the_compensator_jump(ev_c1):
     # compensator jumps, and the extrapolation stalled at 5.1e-5
     x = 1.0009128914508851
     assert abs(pv_quadrature_oracle(ev_c1.profile, x) - ev_c1.k_profile(x)[0]) < 1e-12
+
+
+# -- the batched direct path and the breadth-first build, bit for bit -------------
+
+
+@pytest.mark.parametrize("spec, distinct, pieces", [
+    (ModulusSpec(kind="log_inverse", c=0.1), 1752, 60),
+    (ModulusSpec(kind="power", gamma=1.0), 1801, 61),
+])
+def test_table_build_is_the_sequential_build(spec, distinct, pieces):
+    sm = SmoothedModulus(spec).selected(beta=0.5)
+    prof = build_profile(MODE_C1, sm=sm, bridge=build_bridge(sm))
+    ev = HilbertEvaluator(prof)
+    tab = ev.table()
+    ref = build_table_sequential(HilbertEvaluator(prof))
+    assert np.array_equal(tab.coef, ref.coef)
+    assert len(tab.edges) == len(ref.edges)
+    assert all(np.array_equal(a, b) for a, b in zip(tab.edges, ref.edges))
+    assert np.array_equal(tab.lo, ref.lo) and np.array_equal(tab.hi, ref.hi)
+    assert tab.first == ref.first
+    assert tab.max_err == ref.max_err
+    # the work of a fresh build is pinned: growth fails here, not in timings
+    assert len(ev._memo) == distinct
+    assert len(tab.coef) == pieces
+
+
+def _edge_points(ev):
+    """x0 and x_star, every bridge knot and its neighbours one ulp either side,
+    +-2^-1074, +-2^-1022 and its neighbours, and +-2^20."""
+    pts = [ev.bridge.x0, ev.bridge.x_star]
+    for k in ev.bridge.knots:
+        pts += [np.nextafter(k, -np.inf), k, np.nextafter(k, np.inf)]
+    normal = 2.0 ** -1022
+    mags = [2.0 ** -1074, normal, np.nextafter(normal, 0.0), np.nextafter(normal, 1.0),
+            2.0 ** 20]
+    return np.array(pts + mags + [-m for m in mags])
+
+
+def test_direct_batch_is_the_per_point_oracle_at_the_edges(ev_c1):
+    us = _edge_points(ev_c1)
+    batch = HilbertEvaluator(ev_c1.profile).k_htilde_direct(us)
+    assert np.array_equal(batch, [pi_k_htilde(ev_c1, float(u)) / PI for u in us])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=-1074.0, max_value=20.0), st.booleans()),
+                min_size=1, max_size=4))
+def test_direct_batch_is_the_per_point_oracle_hypothesis(ev_c1, draws):
+    us = np.array([-(2.0 ** e) if negative else 2.0 ** e for e, negative in draws])
+    batch = HilbertEvaluator(ev_c1.profile).k_htilde_direct(us)
+    assert np.array_equal(batch, [pi_k_htilde(ev_c1, float(u)) / PI for u in us])
+
+
+def test_direct_batch_stall_raises_the_oracle_error(ev_c1):
+    # at quad_tol 1e-18 these points still certify and -1e-3 does not: the
+    # batch raises with the measured error the oracle gives for that point
+    strict = HilbertEvaluator(ev_c1.profile, quad_tol=1e-18)
+    good = [-3.0, -0.5, 0.3, 2.0]
+    assert all(math.isfinite(pi_k_htilde(strict, x)) for x in good)
+    with pytest.raises(QuadratureError, match="stalled at") as oracle:
+        pi_k_htilde(strict, -1e-3)
+    with pytest.raises(QuadratureError) as batch:
+        HilbertEvaluator(ev_c1.profile, quad_tol=1e-18).k_htilde_direct(
+            np.array(good[:2] + [-1e-3] + good[2:]))
+    assert str(batch.value) == str(oracle.value)
+
+
+def test_k_htilde_direct_shapes_zeros_and_nan(ev_c1):
+    us = np.array([[0.0, -0.0], [0.37, -2.5]])
+    out = ev_c1.k_htilde_direct(us)
+    assert out.shape == (2, 2)
+    assert out[0, 0] == out[0, 1] == -np.inf
+    assert out[1, 0] == ev_c1.k_htilde(0.37) and out[1, 1] == ev_c1.k_htilde(-2.5)
+    with pytest.raises(ValueError, match="NaN"):
+        ev_c1.k_htilde_direct(np.array([0.5, np.nan]))

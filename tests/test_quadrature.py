@@ -12,13 +12,15 @@ from nondini.quadrature import (
     gauss_cell_values,
     gauss_cells,
     gauss_graded,
+    gauss_nodes,
+    gauss_rule,
     graded_edges,
     integrate_power_endpoint,
     merge_edges,
     quad_complex,
     split_plan,
 )
-from nondini.quadrature import _XK
+from nondini.quadrature import _CHUNK, _XK
 
 
 # -- Gauss-cell rule ---------------------------------------------------------
@@ -32,6 +34,30 @@ def test_gauss_cells_is_sum_of_cell_values(n):
     per_cell = gauss_cell_values(fn, edges[:-1], edges[1:], n)
     assert per_cell.shape == (11,)
     assert gauss_cells(fn, edges, n) == per_cell.sum()
+
+
+@pytest.mark.parametrize("n", [15, 23])
+def test_gauss_cell_values_chunks_are_bitwise_one_call(n):
+    # the integrand is called on at most _CHUNK nodes at a time; the values
+    # are those of one call on every node, for every cell count up to 200 and
+    # across the first two chunk boundaries
+    rows = _CHUNK // n
+    calls = []
+
+    def fn(y):
+        calls.append(y.size)
+        return np.exp(np.sin(3.0 * y)) / (1.0 + y * y)
+
+    rng = np.random.default_rng(n)
+    counts = [*range(1, 201), *range(rows - 2, rows + 3), *range(2 * rows - 1, 2 * rows + 2)]
+    for cells in counts:
+        edges = np.sort(rng.uniform(-3.0, 2.0, cells + 1))
+        a, b = edges[:-1], edges[1:]
+        nodes = gauss_nodes(a, b, n)
+        whole = (fn(nodes.ravel()).reshape(nodes.shape) @ gauss_rule(n)[1]) * (0.5 * (b - a))
+        calls.clear()
+        assert np.array_equal(gauss_cell_values(fn, a, b, n), whole)
+        assert max(calls) <= _CHUNK and len(calls) == -(-cells // rows)
 
 
 def test_gauss_cells_degenerate_edges():
@@ -62,6 +88,76 @@ def test_gauss_graded_raises_with_measured_error():
         gauss_graded(fn, [0.0, 1.0], tol=1e-12)
     measured = float(re.search(r"stalled at (\S+)", str(info.value)).group(1))
     assert measured > 1e-12
+
+
+def _graded_edges_loop(a, b, focus, min_scale):
+    """graded_edges as a loop over the doublings, collected in a set."""
+    out = {a, b}
+    if a < focus < b:
+        out.add(focus)
+    d = min_scale
+    while d < max(abs(a - focus), abs(b - focus)):
+        out.update(s for s in (focus - d, focus + d) if a < s < b)
+        d *= 2.0
+    return np.array(sorted(out))
+
+
+def test_graded_edges_arrays_are_the_scalar_calls():
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-2.0, 1.0, 400)
+    b = a + 2.0 ** rng.uniform(-40.0, 5.0, 400)
+    focus = np.where(rng.random(400) < 0.5, rng.uniform(a, b), rng.choice([-3.0, 0.0, 4.0], 400))
+    focus[:20] = a[:20]
+    focus[20:40] = b[20:40]
+    scale = 2.0 ** rng.uniform(-1074.0, 2.0, 400)
+    scale[40:50] = 5e-324
+    many = graded_edges(a, b, focus, scale)
+    assert len(many) == 400
+    for e, args in zip(many, zip(a, b, focus, scale)):
+        args = tuple(map(float, args))
+        assert np.array_equal(e, graded_edges(*args))
+        assert np.array_equal(e, _graded_edges_loop(*args))
+    # scalars broadcast against arrays
+    assert all(np.array_equal(e, graded_edges(0.0, float(hi), 0.0, 1e-9))
+               for e, hi in zip(graded_edges(0.0, b - a, 0.0, 1e-9), b - a))
+    with pytest.raises(ValueError):
+        graded_edges(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.5, 1e-3)
+
+
+def test_gauss_graded_batch_is_each_integral_alone():
+    # one batch, integrals of very different sizes (one over _CHUNK nodes on
+    # its own), each value bit for bit its own gauss_graded call
+    rng = np.random.default_rng(7)
+    freq = rng.uniform(0.5, 40.0, 30)
+    edges = [graded_edges(0.0, 1.0, float(f) / 40.0, 1e-6) for f in freq]
+    edges[5] = np.linspace(0.0, 1.0, 2 * _CHUNK // 15)
+
+    def fn(y, owner):
+        return np.cos(freq[owner] * y) / (1.0 + y)
+
+    batch = gauss_graded(fn, edges, tol=1e-13)
+    for k, e in enumerate(edges):
+        alone = gauss_graded(lambda y: np.cos(freq[k] * y) / (1.0 + y), e, tol=1e-13)
+        assert batch[k] == alone
+
+
+def test_gauss_graded_batch_halves_only_the_failed_integrals():
+    # integral 0 certifies in the first round, integral 1 (a step inside a
+    # cell) never does: 1 is halved every round and reported, 0 is not
+    seen = {0: [], 1: []}
+
+    def fn(y, owner):
+        for k in (0, 1):
+            seen[k].append(int(np.count_nonzero(owner == k)))
+        return np.where(owner == 0, y * y, np.where(y < 1.0 / 3.0, 0.0, 1.0))
+
+    with pytest.raises(QuadratureError, match="stalled at") as info:
+        gauss_graded(fn, [np.array([0.0, 1.0]), np.array([0.0, 1.0])], tol=1e-12)
+    assert sum(seen[0]) == 15 + 23
+    assert sum(seen[1]) == (15 + 23) * (1 + 2 + 4)
+    with pytest.raises(QuadratureError) as alone:
+        gauss_graded(lambda y: np.where(y < 1.0 / 3.0, 0.0, 1.0), [0.0, 1.0], tol=1e-12)
+    assert str(info.value) == str(alone.value)
 
 
 # -- flattened endpoint rule -------------------------------------------------
