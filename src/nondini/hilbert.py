@@ -164,14 +164,17 @@ class HilbertEvaluator:
                 edges[i] = merge_edges(edges[i], e, near[i][2])
 
         def fn(t, owner):
+            # a chunk within one integral (the deep points' integrals span
+            # many) takes that point's scalars, any other one node arrays
+            one = owner[0] if owner[0] == owner[-1] else owner
+            xo = xt[one]
             # a node that rounds onto x lies in its window: the 0/0 there is
             # replaced by the limit
-            xo = xt[owner]
             with np.errstate(invalid="ignore", divide="ignore"):
-                q = (self.sm.scaled_value_vec(t, s[owner]) - shift[owner]) / (xo - t)
+                q = (self.sm.scaled_value_vec(t, s[one]) - shift[one]) / (xo - t)
             if not eta[owner[0]:owner[-1] + 1].any():
                 return q
-            return np.where(np.abs(t - xo) < eta[owner], -slope[owner], q)
+            return np.where(np.abs(t - xo) < eta[one], -slope[one], q)
 
         return gauss_graded(fn, edges, tol=tol * 0.25)
 

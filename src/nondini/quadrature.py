@@ -6,11 +6,14 @@ planner serve all of them:
 
 * the Gauss-cell rule: `gauss_cell_values` gives one fixed-order
   Gauss-Legendre value per cell and `gauss_cells` their sum over an edge list;
-  `graded_edges` refines cells geometrically toward a known singularity and
-  `merge_edges` unions edge sets;
-* `gauss_graded`, the certified form of that rule: orders 15 and 23 must
-  agree within the tolerance, every cell is halved between rounds, and the
-  measured error is raised as QuadratureError when the rounds run out;
+  `graded_edges` refines cells geometrically toward a known singularity (for
+  one interval, or one vectorized pass over many) and `merge_edges` unions
+  edge sets;
+* `gauss_graded`, the certified form of that rule, for a batch of integrals
+  each over its own edge list (a single edge list is a batch of one): per
+  integral, orders 15 and 23 must agree within the tolerance, the cells of an
+  integral that fails are halved between rounds, and the measured error is
+  raised as QuadratureError when the rounds run out;
 * `integrate_power_endpoint`, the rule after the flattening substitution that
   removes an |x - endpoint|^(-p) singularity;
 * `split_plan`, the singular-split planner: it cuts an interval at the
@@ -18,6 +21,11 @@ planner serve all of them:
 
 `quad_complex` (adaptive Gauss-Kronrod, one call of a vectorized integrand
 per cell) covers complex line integrals in the interior.
+
+The Gauss-cell rules call their integrand on at most _CHUNK nodes at a time,
+whole cells of one or many integrals, and reduce every integral alone in the
+shapes of a single call, so for an integrand that acts node by node,
+chunking and batching never change a bit.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ class QuadratureError(RuntimeError):
 
 
 _RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# nodes per integrand call: 128 KiB of doubles, below glibc's default mmap
-# threshold, so an integrand's temporaries reuse heap pages instead of
-# faulting in fresh ones
+# nodes per integrand call: 64 KiB of doubles, so that an integrand's
+# temporaries stay below glibc's 128 KiB mmap and trim thresholds and reuse
+# heap pages instead of faulting in fresh ones
 _CHUNK = 8192
 
 
@@ -143,11 +151,9 @@ def graded_edges(a, b, focus, min_scale):
 
 
 def _graded_edges_vec(a, b, focus, min_scale) -> list:
-    """graded_edges for arrays: one vectorized pass over every element."""
+    """graded_edges for arrays, in blocks of elements of about _CHUNK edges."""
     a, b, focus, scale = (v.ravel() for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (a, b, focus, min_scale))))
-    if a.size == 0:
-        return []
     if not np.all(b > a):
         raise ValueError("need a < b")
     if np.any(scale <= 0.0):
@@ -157,6 +163,21 @@ def _graded_edges_vec(a, b, focus, min_scale) -> list:
     m1, e1 = np.frexp(scale)
     m2, e2 = np.frexp(dmax)
     count = np.where(scale < dmax, e2 - e1 + (m1 < m2), 0)
+    # at most 2 count + 3 edges per element
+    ends = np.cumsum(2 * count + 3)
+    out = []
+    start = 0
+    while start < a.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+        block = slice(start, stop)
+        out += _graded_block(a[block], b[block], focus[block], scale[block], count[block])
+        start = stop
+    return out
+
+
+def _graded_block(a, b, focus, scale, count) -> list:
+    """The edge arrays of a block of elements with `count` doublings each."""
     row = np.repeat(np.arange(a.size), count)
     d = np.ldexp(scale[row], np.arange(row.size) - np.repeat(np.cumsum(count) - count, count))
     every = np.arange(a.size)
@@ -213,16 +234,19 @@ def gauss_graded(fn, edges, tol: float, max_rounds: int = 3):
     """Certified Gauss-cell integration of a batch of integrals, each over its
     own prescribed edge list.
 
-    `edges` is a list of increasing edge arrays, and fn(y, owner) evaluates at
-    each node y[i] the integrand of integral owner[i]; the batch returns an
-    array of values. A single edge array is a batch of one with fn(y), and
-    returns its value. For each integral, orders 15 and 23 must agree within
-    tol (absolute or relative, whichever is looser); otherwise that
-    integral's cells are halved and the comparison repeated, while the
-    integrals already certified are left alone. Returns the order-23 values;
-    after max_rounds failed rounds raises QuadratureError carrying the
-    measured error of the first integral that failed. Every value has the
-    bits of integrating its integral alone.
+    `edges` is a list of increasing edge arrays, and fn(y, owner) evaluates
+    at each node y[i] the integrand of integral owner[i]; owner is
+    non-decreasing, since a call holds whole cells of consecutive integrals.
+    The batch returns an array of values. A single edge array is a batch of
+    one with fn(y), and returns its value.
+
+    For each integral, orders 15 and 23 must agree within tol (absolute or
+    relative, whichever is looser); otherwise that integral's cells are
+    halved and the comparison repeated, while the integrals already certified
+    are left alone. Returns the order-23 values; after max_rounds failed
+    rounds raises QuadratureError carrying the measured error of the first
+    integral that failed. Every value has the bits of integrating its
+    integral alone.
     """
     if not len(edges) or np.ndim(edges[0]) == 0:
         return gauss_graded(lambda y, owner: fn(y), [edges], tol, max_rounds)[0]
