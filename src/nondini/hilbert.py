@@ -267,9 +267,8 @@ class HilbertEvaluator:
     # -- public evaluation ----------------------------------------------------
 
     def k_htilde(self, x: float):
-        """K Htilde(x) by the direct region formulas; -inf at x = 0."""
-        if self.profile.mode == MODE_C1 and float(x) in self._memo:
-            return self._memo[float(x)]
+        """K Htilde(x) by the direct region formulas, a batch of one; -inf at
+        x = 0."""
         return float(self.k_htilde_direct(np.array([x]))[0])
 
     def k_htilde_direct(self, u) -> np.ndarray:
