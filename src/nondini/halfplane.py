@@ -50,10 +50,11 @@ No points x nodes matrix is formed: the near field works on one point's
 (cells, n) block. tests/oracles.py keeps the per-point graded rule over all
 cells as the oracle.
 
-Conventions: interior points are `complex` with Im z > 0 (V, W and
-g_exponent reject any other; G takes a real point as a boundary point),
-boundary points are floats, and Kf = -infinity on the singular set is IEEE
--inf, where the boundary G has infinite modulus.
+Conventions: interior points are `complex` with Im z > 0 (V, W, G and
+g_exponent_vec reject any other, real points included), boundary points are
+floats, and Kf = -infinity on the singular set is IEEE -inf. G takes interior
+points only: its boundary values exp(-Kf + i f), infinite in modulus on the
+singular set, are conformal._boundary_g.
 """
 
 from __future__ import annotations
@@ -290,32 +291,13 @@ class HarmonicEvaluator:
         tail = -p.c_prime * np.log(1.0 - flat / Y)
         return ((integral + tail) / PI).reshape(zs.shape)
 
-    def g_exponent(self, z) -> complex:
-        """-W + iV at one point."""
-        return complex(self.g_exponent_vec(z))
-
     def V(self, z) -> float:
-        return self.g_exponent(z).imag
+        return complex(self.g_exponent_vec(z)).imag
 
     def W(self, z) -> float:
-        return -self.g_exponent(z).real
+        return -complex(self.g_exponent_vec(z)).real
 
-    def G(self, z) -> complex:
-        """exp(-W + iV) interior; boundary reals use |G| = exp(-Kf), arg = f."""
-        if isinstance(z, complex) and z.imag != 0.0:
-            return complex(np.exp(self.g_exponent_vec(z)))
-        return self.boundary_G(float(np.real(z)))
-
-    def boundary_G(self, x: float) -> complex:
-        """G(x) on the real line; +inf magnitude at the singular set {x_k}.
-
-        At singular points the returned complex has infinite modulus but its
-        components carry the direction cos/sin(f(x)); the argument f(x) stays
-        well defined there.
-        """
-        val, _ = self.ev.k_profile(x)
-        theta = self.profile.f(x)
-        if val == -math.inf:
-            return complex(math.inf * math.cos(theta), math.inf * math.sin(theta))
-        r = math.exp(-val)
-        return complex(r * math.cos(theta), r * math.sin(theta))
+    def G(self, z):
+        """exp(-W + iV) at a point or an array of points with Im z > 0, shape
+        kept (ValueError otherwise)."""
+        return np.exp(self.g_exponent_vec(z))

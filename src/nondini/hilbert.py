@@ -86,10 +86,10 @@ class HilbertEvaluator:
     """Piecewise-analytic evaluator of K Htilde and K f.
 
     Pure after construction. The direct formulas evaluate a batch of points
-    at once (`k_htilde_direct`; `k_htilde` is a batch of one) and memoize
-    each point. The vector path uses a Chebyshev table of K Htilde over every
-    nonzero double (built lazily, with its observed sup error against the
-    direct formulas recorded; see KHtildeTable).
+    at once (`k_htilde_direct`) and memoize each point. The vector path uses
+    a Chebyshev table of K Htilde over every nonzero double (built lazily,
+    with its observed sup error against the direct formulas recorded; see
+    KHtildeTable).
     """
 
     profile: TangentProfile
@@ -265,11 +265,6 @@ class HilbertEvaluator:
         return out
 
     # -- public evaluation ----------------------------------------------------
-
-    def k_htilde(self, x: float):
-        """K Htilde(x) by the direct region formulas, a batch of one; -inf at
-        x = 0."""
-        return float(self.k_htilde_direct(np.array([x]))[0])
 
     def k_htilde_direct(self, u) -> np.ndarray:
         """K Htilde at every point of u by the direct region formulas, with one

@@ -245,8 +245,8 @@ def measure_ratio(trace: BoundaryTrace, ev, x_center: float, r: float,
     if ev is None:
         length = omega
     else:
-        length = _integrate_split(_boundary_abs_dphi(ev),
-                                  _split_singular(ev.profile, x_lo, x_hi)).real
+        length = sum(_integrate_split(_boundary_abs_dphi(ev),
+                                      _split_singular(ev.profile, x_lo, x_hi))).real
     return BallRatio(float(omega), float(length), float(omega / length),
                      float(x_lo), float(x_hi))
 
@@ -747,7 +747,7 @@ def appendix_product_integral(b, eps_list, jumps=None) -> AppendixReport:
         return val
 
     def window(a: float, c: float) -> float:
-        return _integrate_split(g, split_plan(a, c, locs, bs), cells=8).real
+        return sum(_integrate_split(g, split_plan(a, c, locs, bs), cells=8)).real
 
     ints = [window(-e, e) for e in eps]
     lefts = [window(-e, 0.0) for e in eps]

@@ -310,9 +310,12 @@ def split_plan(a: float, b: float, locs, exps):
     (lo, hi, exponent, side) tuples: exponent is None on pieces with no
     singular end, otherwise the singular end is lo (side "a") or hi (side "b").
     """
+    # only the locations in [a, b] can be a cut or the singular end of a piece
     sing: dict = {}
     for s, p in zip(locs, exps):
-        sing[float(s)] = sing.get(float(s), 0.0) + p
+        s = float(s)
+        if a <= s <= b:
+            sing[s] = sing.get(s, 0.0) + p
     cuts = [a] + sorted(s for s in sing if a < s < b) + [b]
     plan = []
     for lo, hi in zip(cuts, cuts[1:]):

@@ -9,7 +9,10 @@ is scipy's adaptive quadrature; the library itself needs no scipy.
 The per-point region formulas of K Htilde (`pi_k_htilde` and its four
 integrals) and the depth-first table build on top of them
 (`build_table_sequential`) are the form the batched direct path and the
-breadth-first `KHtildeTable.build` must match bit for bit.
+breadth-first `KHtildeTable.build` must match bit for bit. Likewise the
+boundary rule one piece at a time (`integrate_split_total`) and the trace's
+own per-cell dispatch (`trace_per_cell`) are what the piece values of
+`conformal._integrate_split`, and the trace built on them, must match.
 """
 
 import cmath
@@ -17,14 +20,24 @@ import math
 
 import numpy as np
 
+from nondini.conformal import (
+    BoundaryTrace,
+    _as_harmonic,
+    _boundary_g,
+    _trace_grid,
+    integrate_phi,
+)
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
 from nondini.hilbert import DEEP, FAR, MID, KHtildeTable, _rise_scale
 from nondini.measure import _phi_from
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import (
     QuadratureError,
+    gauss_cell_values,
+    gauss_cells,
     gauss_graded,
     graded_edges,
+    integrate_power_endpoint,
     merge_edges,
 )
 
@@ -91,6 +104,59 @@ def bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def integrate_split_total(fn, plan, cells: int = 4) -> complex:
+    """The boundary rule over a split_plan, one piece at a time: `cells`
+    23-point Gauss cells per regular piece, the flattened rule per singular
+    piece, accumulated left to right."""
+    total = 0.0 + 0.0j
+    for lo, hi, pexp, side in plan:
+        if pexp is None:
+            total += complex(gauss_cells(fn, np.linspace(lo, hi, cells + 1), 23))
+        else:
+            total += complex(integrate_power_endpoint(fn, lo, hi, pexp, side=side))
+    return total
+
+
+def trace_per_cell(ev, x_lo: float, x_hi: float, base_n: int = 200,
+                   tol: float = 1e-9) -> BoundaryTrace:
+    """trace_boundary with its own per-cell dispatch: a cell whose left end is
+    a jump is flattened there, else one whose right end is, else it is one
+    23-point Gauss cell. A cell with a jump at both ends is flattened at its
+    left end only, so that cell is off by up to 1e-5 relative; on every other
+    grid the trace must equal this one bit for bit."""
+    harm = _as_harmonic(ev)
+    ev = harm.ev
+    p = harm.profile
+    xs = _trace_grid(p, x_lo, x_hi, base_n)
+    with np.errstate(divide="ignore"):
+        abs_dphi = np.exp(-ev.kf_vec(xs))
+    sing = np.isin(xs, np.asarray(p.x, dtype=float))
+    gfn = _boundary_g(ev)
+    exponent = {xk: p.c * ak / PI for ak, xk in zip(p.a, p.x)}
+
+    anchor = integrate_phi(harm, complex(xs[0], 0.0), tol=tol)
+    increments = np.empty(xs.size - 1, dtype=complex)
+    quad_err = 0.0
+    regular = []
+    for j in range(xs.size - 1):
+        a, b = xs[j], xs[j + 1]
+        if sing[j]:
+            increments[j] = integrate_power_endpoint(gfn, a, b, exponent[a], side="a")
+        elif sing[j + 1]:
+            increments[j] = integrate_power_endpoint(gfn, a, b, exponent[b], side="b")
+        else:
+            regular.append(j)
+    if regular:
+        idx = np.array(regular, dtype=int)
+        e15 = gauss_cell_values(gfn, xs[idx], xs[idx + 1], 15)
+        e23 = gauss_cell_values(gfn, xs[idx], xs[idx + 1], 23)
+        increments[idx] = e23
+        quad_err = float(np.abs(e23 - e15).sum())
+    phi = anchor + np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
+    return BoundaryTrace(x=xs, phi=phi, abs_dphi=abs_dphi, is_singular=sing,
+                         c_prime=p.c_prime, quad_error=quad_err)
 
 
 def f_per_jump(p, xs, slope=False):

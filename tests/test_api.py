@@ -40,6 +40,11 @@ REMOVED = (
     # the per-point K Htilde region formulas: the batched direct path is the
     # only one, and the per-point form is a test oracle
     "_pi_k_htilde", "_int_rise", "_int_rise_pv", "_int_bridge", "_int_bridge_pv",
+    # one-point aliases of the batch calls k_htilde_direct and g_exponent_vec
+    "k_htilde", "g_exponent",
+    # the second boundary G and the trace's own singular planner: boundary G
+    # is conformal._boundary_g, and split_plan is the only planner
+    "boundary_G", "_singular_exponent",
 )
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini import conformal
 from nondini.hilbert import HilbertEvaluator
+from nondini.quadrature import integrate_power_endpoint, split_plan
 from nondini.conformal import (
     BASE_POINT,
     BoundaryTrace,
@@ -20,6 +22,8 @@ from nondini.conformal import (
     segment_margin,
     trace_boundary,
 )
+
+from oracles import integrate_split_total, trace_per_cell
 
 PI = math.pi
 
@@ -241,6 +245,80 @@ def test_trace_from_sequences():
     flat = BoundaryTrace.flat(-8.0, 8.0, 33)
     assert flat.is_simple()
     assert np.array_equal(flat.phi, flat.x.astype(complex))
+
+
+@pytest.mark.parametrize("name, window, base_n", [
+    ("c1", (-1.0, 1.2), 200), ("c1", (-1.0, 1.2), 160),
+    ("lip", (-1.0, 1.2), 200), ("wedge", (-1.0, 1.0), 100)])
+def test_trace_is_the_per_cell_dispatch(request, name, window, base_n):
+    # no grid cell has a jump at both ends here, so the shared planner and
+    # rule give the old per-cell dispatch bit for bit
+    ev = request.getfixturevalue("ev_" + name)
+    tr = trace_boundary(ev, *window, base_n=base_n)
+    ref = trace_per_cell(ev, *window, base_n=base_n)
+    for field in ("x", "phi", "abs_dphi", "is_singular"):
+        assert np.array_equal(getattr(tr, field), getattr(ref, field)), field
+    assert tr.quad_error == ref.quad_error
+
+
+def _lipschitz_integral_mp(p, a: float, b: float) -> complex:
+    """int_a^b G over a cell of the jump grid, G = prod |x - x_k|^(-c a_k/pi)
+    e^{i f}, by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        q = [mpmath.mpf(p.c) * mpmath.mpf(ak) / mpmath.pi for ak in p.a]
+        mod = mpmath.quad(lambda x: mpmath.fprod(abs(x - mpmath.mpf(xk)) ** -qk
+                                                 for xk, qk in zip(p.x, q)),
+                          [a, 0.5 * (a + b), b])
+    return complex(mod) * cmath.exp(1j * p.f(0.5 * (a + b)))
+
+
+@pytest.mark.parametrize("rule, old_err", [("uniform", 1e-5), ("geometric", 3e-13)])
+def test_trace_flattens_both_ends_of_a_cell(rule, old_err):
+    # K = 30 puts the jumps 2^-30, 2^-29, 2^-28 closer than the 2^-28 grid
+    # floor, so the grid cells between them have a jump at each end; the
+    # planner splits such a cell at its midpoint and flattens both halves
+    p = build_profile(MODE_LIPSCHITZ, K=30, amplitude_rule=rule)
+    ev = HilbertEvaluator(p)
+    tr = trace_boundary(ev, -1.0, 1.2)
+    gfn = conformal._boundary_g(ev)
+    for m in (30, 29):
+        a, b = 2.0 ** -m, 2.0 ** (1 - m)
+        j = int(np.searchsorted(tr.x, a))
+        assert (tr.x[j], tr.x[j + 1]) == (a, b) and tr.is_singular[j:j + 2].all()
+        ref = _lipschitz_integral_mp(p, a, b)
+        plan = conformal._split_singular(p, a, b)
+        assert [piece[3] for piece in plan] == ["a", "b"]
+        split_val = sum(conformal._integrate_split(gfn, plan, cells=1))
+        assert abs(split_val - ref) <= 1e-15 * abs(ref)
+        # flattening the left end only, as the trace once did
+        left_only = integrate_power_endpoint(gfn, a, b, plan[0][2], side="a")
+        assert abs(left_only - ref) > old_err * abs(ref)
+        # the Phi samples cancel to 1e-8 - 1e-7 relative in their difference,
+        # which still separates the two rules in the uniform case
+        assert abs(tr.phi[j + 1] - tr.phi[j] - ref) <= 1e-6 * abs(ref)
+
+
+def test_integrate_split_sums_like_the_per_piece_rule():
+    # the appendix windows with dyadic placement: 8 and more pieces, summed
+    # left to right, equal the one-piece-at-a-time total bit for bit
+    bs = [0.05] * 8
+    locs = [2.0 ** -(k + 1) for k in range(len(bs))]
+
+    def g(ys):
+        val = np.ones_like(ys)
+        for s, v in zip(locs, bs):
+            val = val * np.abs(ys - s) ** (-v)
+        return val
+
+    counts = []
+    for e in (1.0, 0.5, 0.3, 2.0 ** -4):
+        for a, c in ((-e, e), (-e, 0.0)):
+            plan = split_plan(a, c, locs, bs)
+            counts.append(len(plan))
+            vals = conformal._integrate_split(g, plan, cells=8)
+            assert len(vals) == len(plan)
+            assert sum(vals) == integrate_split_total(g, plan, cells=8)
+    assert max(counts) >= 8
 
 
 # -- injectivity ---------------------------------------------------------------

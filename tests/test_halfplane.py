@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
+from nondini.conformal import _boundary_g
 from nondini.hilbert import HilbertEvaluator
 from nondini.halfplane import (
     HarmonicEvaluator, _log_sum, _poisson_of_step, poisson_kernel)
@@ -66,10 +67,10 @@ def test_upper_half_point_validation(harm_lip):
         for fn in (harm_lip.V, harm_lip.W):
             with pytest.raises(ValueError):
                 fn(z)
-    with pytest.raises(ValueError):
-        harm_lip.G(complex(0.3, -1.0))
-    # a real point (Im z = 0) is a boundary point: G gives its boundary value
-    assert harm_lip.G(complex(0.3, 0.0)) == harm_lip.boundary_G(0.3)
+    # G as well: its boundary values are conformal._boundary_g
+    for z in (complex(0.3, -1.0), complex(0.3, 0.0), 0.3, np.array([0.3 + 0.5j, 0.3])):
+        with pytest.raises(ValueError):
+            harm_lip.G(z)
 
 
 # -- V: Poisson extension of f ---------------------------------------------------
@@ -151,7 +152,7 @@ def test_extend_functions_match_evaluator(harm_c1):
     a = herglotz_transform_direct(harm_c1.profile, z.real, z.imag)
     assert abs(harm_c1.V(z) - a.imag) <= 1e-14 * abs(a.imag)
     assert abs(harm_c1.W(z) + a.real) <= 1e-14 * abs(a.real)
-    assert harm_c1.V(z) == harm_c1.g_exponent(z).imag
+    assert harm_c1.V(z) == harm_c1.g_exponent_vec(z).imag
     with pytest.raises(ValueError):
         harm_c1.W(complex(0.3, -0.5))
 
@@ -185,17 +186,39 @@ def test_arg_G_within_angle_bound(harm_c1):
         assert abs(cmath.phase(harm_c1.G(complex(x, t)))) < cp
 
 
+def test_G_on_numpy_points(harm_c1, harm_lip):
+    # a 0-d array is the interior point it holds, not the boundary point
+    # at its real part, and an array of points keeps its shape
+    z = 0.3 + 0.5j
+    assert harm_c1.G(np.array(z)) == harm_c1.G(z)
+    assert abs(harm_c1.G(z) - (1.0974 + 0.3899j)) < 1e-4
+    zs = np.array([[z, 2.5 + 1.5j], [-0.2 + 0.1j, 0.6 + 0.3j]])
+    out = harm_c1.G(zs)
+    assert out.shape == (2, 2)
+    assert np.array_equal(out, np.exp(harm_c1.g_exponent_vec(zs)))
+    assert out[0, 0] == harm_c1.G(z)
+    for h in (harm_c1, harm_lip):
+        for bad in (np.array(0.3 + 0.0j), np.array([z, 0.3 - 0.5j]), np.array(0.3)):
+            with pytest.raises(ValueError):
+                h.G(bad)
+
+
+# -- boundary G = exp(-Kf + i f): conformal._boundary_g --------------------------
+
 def test_boundary_G_lipschitz_power(harm_wedge):
+    # unit step with c = 1: G(x) = 2^(-c/pi) e^{ic} at x = 2
     p = harm_wedge.profile
-    g = harm_wedge.G(2.0 + 0.0j)
+    g = complex(_boundary_g(harm_wedge.ev)(np.array([2.0]))[0])
     assert abs(g) == pytest.approx(2.0 ** (-p.c / PI), rel=1e-12)
+    assert cmath.phase(g) == pytest.approx(p.c, abs=1e-12)
     assert cmath.phase(g) == pytest.approx(p.f(2.0), abs=1e-12)
 
 
 def test_boundary_G_c1_matches_kf(harm_c1):
+    # the table behind _boundary_g against the direct formulas behind k_profile
     ev = harm_c1.ev
-    for x in (-0.7, 0.1, 0.785, 3.0):
-        g = harm_c1.boundary_G(x)
+    xs = np.array([-0.7, 0.1, 0.785, 3.0])
+    for x, g in zip(xs.tolist(), _boundary_g(ev)(xs).tolist()):
         val, _ = ev.k_profile(x)
         assert abs(g) == pytest.approx(math.exp(-val), rel=1e-10)
         assert cmath.phase(g) == pytest.approx(ev.profile.f(x), abs=1e-12)
@@ -203,7 +226,7 @@ def test_boundary_G_c1_matches_kf(harm_c1):
 
 def test_boundary_G_singular_sentinel(harm_c1):
     x1 = float(harm_c1.profile.x[0])
-    g = harm_c1.boundary_G(x1)
+    g = complex(_boundary_g(harm_c1.ev)(np.array([x1]))[0])
     assert abs(g) == math.inf
     # the components still point along the tangent angle f(x1)
     theta = harm_c1.profile.f(x1)
@@ -259,8 +282,8 @@ def test_cache_does_not_change_values(harm_c1):
     # replaced twice; every value is the one a fresh evaluator gives
     h = HarmonicEvaluator(harm_c1.ev)
     zs = [complex(0.7, 0.5), complex(0.7, 1e-4), complex(-0.2, 0.5)]
-    assert [h.g_exponent(z) for z in zs] == [
-        HarmonicEvaluator(harm_c1.ev).g_exponent(z) for z in zs]
+    assert [h.g_exponent_vec(z) for z in zs] == [
+        HarmonicEvaluator(harm_c1.ev).g_exponent_vec(z) for z in zs]
     p = harm_c1.profile
     span = max(p.saturation, 1.0) - min(p.x)
     assert list(h._memo) == [span * 1e-9]
@@ -369,7 +392,6 @@ def test_scalar_calls_are_one_point_batches(harm_c1):
     for z, b in zip(zs, batch):
         a = harm_c1.g_exponent_vec(np.array([z]))[0]
         assert a == b
-        assert harm_c1.g_exponent(z) == a
         assert harm_c1.V(z) == a.imag
         assert harm_c1.W(z) == -a.real
         assert harm_c1.G(z) == np.exp(a)

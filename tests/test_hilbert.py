@@ -125,28 +125,29 @@ def test_k_profile_matches_oracle_c1(ev_c1):
 # -- K Htilde: sentinel, side limits, brackets ----------------------------------
 
 def test_k_htilde_sentinel_and_regions(ev_c1):
-    assert ev_c1.k_htilde(0.0) == -math.inf
+    zero, k, k_far = ev_c1.k_htilde_direct(np.array([0.0, -0.01, 10.0]))
+    assert zero == -math.inf
     # spec'd sample brackets (x_star <= 1/2 makes the 1/2 forms valid)
     sm = ev_c1.sm
     f0 = sm.value(sm.x0)
     x = -0.01
-    k = ev_c1.k_htilde(x)
     lo = ((1.0 - f0) * math.log(sm.x0 - x) + f0 * math.log(-x)) / PI
     assert lo <= k <= math.log(0.5 - x) / PI
     x = 10.0
-    assert math.log(x - 0.5) / PI <= ev_c1.k_htilde(x) <= math.log(x) / PI
+    assert math.log(x - 0.5) / PI <= k_far <= math.log(x) / PI
 
 
 def test_k_htilde_side_limits(ev_c1):
     x0, xs = ev_c1.bridge.x0, ev_c1.bridge.x_star
     tol = 10.0 * ev_c1.quad_tol
     for knot in (x0, xs):
-        mid = ev_c1.k_htilde(knot)
         h = 1e-12 * knot
-        assert abs(ev_c1.k_htilde(knot - h) - mid) < tol
-        assert abs(ev_c1.k_htilde(knot + h) - mid) < tol
+        left, mid, right = ev_c1.k_htilde_direct(np.array([knot - h, knot, knot + h]))
+        assert abs(left - mid) < tol
+        assert abs(right - mid) < tol
     # coarser probe used by the acceptance gate
-    assert abs(ev_c1.k_htilde(x0 - 1e-6) - ev_c1.k_htilde(x0 + 1e-6)) < 1e-3
+    left, right = ev_c1.k_htilde_direct(np.array([x0 - 1e-6, x0 + 1e-6]))
+    assert abs(left - right) < 1e-3
 
 
 def test_region_brackets_500_samples(ev_c1):
@@ -167,21 +168,22 @@ def test_region_brackets_500_samples(ev_c1):
 
 def test_divergence_rate_is_logarithmic(ev_c1):
     # |K(x)| / (log(1/|x|)/pi) stays bounded along +-2^-m
+    ms = np.arange(5, 31)
     for sgn in (1.0, -1.0):
-        ratios = [abs(ev_c1.k_htilde(sgn * 2.0 ** -m)) / (m * math.log(2.0) / PI)
-                  for m in range(5, 31)]
-        assert max(ratios) < 1.0
+        ratios = np.abs(ev_c1.k_htilde_direct(sgn * 2.0 ** -ms)) / (ms * math.log(2.0) / PI)
+        assert ratios.max() < 1.0
     # ... while the value itself diverges
-    assert ev_c1.k_htilde(2.0 ** -30) < ev_c1.k_htilde(2.0 ** -8) - 0.1
+    deep, shallow = ev_c1.k_htilde_direct(np.array([2.0 ** -30, 2.0 ** -8]))
+    assert deep < shallow - 0.1
 
 
 # -- decay bounds ---------------------------------------------------------------
 
 def test_decay_bounds_contain_value(ev_c1):
-    for x in np.geomspace(1e-8, ev_c1.bridge.x0 * 0.98, 25):
-        lo, hi = decay_bounds(ev_c1, float(x))
-        pik = PI * ev_c1.k_htilde(float(x))
-        assert lo - 1e-9 <= pik <= hi + 1e-9
+    xs = np.geomspace(1e-8, ev_c1.bridge.x0 * 0.98, 25)
+    for x, k in zip(xs.tolist(), ev_c1.k_htilde_direct(xs).tolist()):
+        lo, hi = decay_bounds(ev_c1, x)
+        assert lo - 1e-9 <= PI * k <= hi + 1e-9
 
 
 def test_decay_bounds_lower_diverges(ev_c1):
@@ -198,10 +200,10 @@ def test_decay_bounds_constant_kind_upper_diverges():
     ups = [decay_bounds(ev, 2.0 ** -m)[1] for m in (6, 10, 14, 18, 22)]
     assert all(b < a for a, b in zip(ups, ups[1:]))
     assert ups[-1] < -1.0
-    for m in (6, 10, 14, 18, 22):
-        lo, hi = decay_bounds(ev, 2.0 ** -m)
-        pik = PI * ev.k_htilde(2.0 ** -m)
-        assert lo - 1e-9 <= pik <= hi + 1e-9
+    xs = 2.0 ** -np.array([6, 10, 14, 18, 22])
+    for x, k in zip(xs.tolist(), ev.k_htilde_direct(xs).tolist()):
+        lo, hi = decay_bounds(ev, x)
+        assert lo - 1e-9 <= PI * k <= hi + 1e-9
 
 
 def test_decay_bounds_domain(ev_c1):
@@ -224,9 +226,9 @@ def test_k_profile_sentinel_at_jumps(ev_lip, ev_c1):
                     p.a[j] * math.log(abs(p.x[k] - p.x[j])) / PI
                     for j in range(p.K) if j != k)
             else:
-                expect = p.c * math.fsum(
-                    p.a[j] * ev.k_htilde(p.x[k] - p.x[j])
-                    for j in range(p.K) if j != k)
+                others = [j for j in range(p.K) if j != k]
+                kh = ev.k_htilde_direct(np.array([p.x[k] - p.x[j] for j in others]))
+                expect = p.c * math.fsum(p.a[j] * v for j, v in zip(others, kh.tolist()))
             assert reg == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -256,8 +258,7 @@ def test_table_accuracy_and_zeros(ev_c1):
     us = np.array([0.0, 1e-3, -1e-3, 0.37, ev_c1.bridge.x_star * 1.000001, 2.0 ** -40])
     vals = ev_c1.k_htilde_vec(us)
     assert vals[0] == -np.inf
-    for u, v in zip(us[1:], vals[1:]):
-        assert abs(v - ev_c1.k_htilde(float(u))) < 1e-9
+    assert np.all(np.abs(vals[1:] - ev_c1.k_htilde_direct(us[1:])) < 1e-9)
     # deep and far arguments come from their own pieces, not a fallback
     far = np.array([2.0 ** 20, -(2.0 ** 20), 2.0 ** -55])
     direct = ev_c1.k_htilde_direct(far)
@@ -359,8 +360,8 @@ def test_deep_and_far_pieces_match_direct(ev_c1, e):
 
 
 def test_k_htilde_finite_at_the_floor(ev_c1):
-    for u in (2.0 ** -1074, -(2.0 ** -1074)):
-        assert math.isfinite(ev_c1.k_htilde(u))
+    assert np.all(np.isfinite(ev_c1.k_htilde_direct(np.array([2.0 ** -1074,
+                                                             -(2.0 ** -1074)]))))
 
 
 def test_non_finite_inputs(ev_c1):
@@ -451,6 +452,7 @@ def test_k_htilde_direct_shapes_zeros_and_nan(ev_c1):
     out = ev_c1.k_htilde_direct(us)
     assert out.shape == (2, 2)
     assert out[0, 0] == out[0, 1] == -np.inf
-    assert out[1, 0] == ev_c1.k_htilde(0.37) and out[1, 1] == ev_c1.k_htilde(-2.5)
+    assert out[1, 0] == ev_c1.k_htilde_direct(np.array([0.37]))[0]
+    assert out[1, 1] == ev_c1.k_htilde_direct(np.array([-2.5]))[0]
     with pytest.raises(ValueError, match="NaN"):
         ev_c1.k_htilde_direct(np.array([0.5, np.nan]))
