@@ -306,10 +306,13 @@ def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200,
     gfn = _boundary_g(ev)
 
     anchor = integrate_phi(harm, complex(xs[0], 0.0), tol=tol)
-    # one plan per grid cell, so that each increment sums its own pieces
+    # one plan per grid cell, so that each increment sums its own pieces; a
+    # cell with no jump at either end holds none inside either (every jump in
+    # the window is a grid point), so it is one regular piece as planned
     plan, counts = [], []
-    for a, b in zip(xs[:-1].tolist(), xs[1:].tolist()):
-        cell = _split_singular(p, a, b)
+    for a, b, at_jump in zip(xs[:-1].tolist(), xs[1:].tolist(),
+                             (sing[:-1] | sing[1:]).tolist()):
+        cell = _split_singular(p, a, b) if at_jump else [(a, b, None, "")]
         plan += cell
         counts.append(len(cell))
     values = _integrate_split(gfn, plan, cells=1)

@@ -291,11 +291,16 @@ class HarmonicEvaluator:
         tail = -p.c_prime * np.log(1.0 - flat / Y)
         return ((integral + tail) / PI).reshape(zs.shape)
 
-    def V(self, z) -> float:
-        return complex(self.g_exponent_vec(z)).imag
+    def V(self, z):
+        """Im A(z) at a point (a float) or an array of points (an array, shape
+        kept), every one with Im z > 0 (ValueError otherwise)."""
+        v = self.g_exponent_vec(z).imag
+        return float(v) if v.ndim == 0 else v
 
-    def W(self, z) -> float:
-        return -complex(self.g_exponent_vec(z)).real
+    def W(self, z):
+        """-Re A(z), taking and giving the shapes V does."""
+        w = -self.g_exponent_vec(z).real
+        return float(w) if w.ndim == 0 else w
 
     def G(self, z):
         """exp(-W + iV) at a point or an array of points with Im z > 0, shape

@@ -22,9 +22,10 @@ all run over the same two cached grids, whose nodes do not depend on x; g
 there is read from a per-evaluator node memo. Each value has the bits of
 integrating that point alone.
 
-An independent principal-value quadrature oracle (symmetric excision with
-Richardson extrapolation in the excision radius) is provided for cross-checks;
-it only ever touches profile values, never the region formulas.
+An independent principal-value quadrature oracle (the window around x folded
+onto s = |y - x| into one regular integral, plus two outer pieces and a closed
+tail) is provided for cross-checks; it only ever touches profile values, never
+the region formulas.
 
 Conventions: Kf = -infinity on the singular set is IEEE -inf (`-math.inf` from
 the scalar paths, `-np.inf` in arrays), boundary points are floats, and every
@@ -390,81 +391,78 @@ def region_bracket(ev: HilbertEvaluator, x: float) -> tuple[float, float]:
     return math.log(x - xs), math.log(x)
 
 
-def pv_quadrature_oracle(p: TangentProfile, x: float, eps_sequence=None) -> float:
-    """Brute-force K f(x): symmetric excision + exact compensator + Richardson.
+def pv_quadrature_oracle(p: TangentProfile, x: float) -> float:
+    """Brute-force K f(x): a folded window around x, two outer pieces and a
+    closed tail, all in t = y - x.
 
-    At each excision radius eps,
+    With e half the distance from x to the nearest jump or, when that is
+    closer, to the compensator's jump at y = 1,
 
-      pi Kf(x; eps) = [int_{y_min}^{x-eps} + int_{x+eps}^{Y}] f(y) q(y) dy
-                      + c' (log(Y-x) - log Y),
-      q(y) = 1/(x-y) + chi_{y>1}/y,
+      pi Kf(x) = int_0^e ([f(x-s) - f(x+s)]/s + f(x-s) chi(x-s) + f(x+s) chi(x+s)) ds
+                 + [int_{y_min-x}^{-e} + int_e^{Y-x}] f(x+t) (chi(x+t) - 1/t) dt
+                 + c' (log(Y-x) - log Y),      chi(y) = chi_{y>1}/y,
 
     where y_min is the support edge, Y covers the saturated range, and the
-    closed tail uses f == c' beyond Y. The excised window contributes
-    -2 eps f'(x) + O(eps^3), so the two-point Richardson step 2 I(eps/2) - I(eps)
-    converges at cubic rate; the last two extrapolants must agree to 1e-7.
-    The default radii start at half the distance from x to the nearest jump
-    or, when that is closer, to the compensator's jump at y = 1.
-    Only profile values are used: this path is independent of the region
-    formulas by construction.
+    closed tail uses f == c' beyond Y. The window is the principal value
+    folded onto s = |y - x|: its integrand tends to -2 f'(x) as s -> 0, so it
+    needs no excision. Its cells are graded toward s = 0 and toward every
+    kink of f in the window, each of which is an edge. The outer pieces take
+    the pole as the exact -1/t, graded toward t = 0 and toward every jump,
+    with every kink an edge. Each of the three integrals must agree between
+    Gauss orders 21 and 29 (QuadratureError otherwise). Only profile values
+    are used: this path is independent of the region formulas by
+    construction.
     """
     jumps = np.asarray(p.x, dtype=float)
     dist = float(np.min(np.abs(x - jumps)))
-    if eps_sequence is None:
-        if dist <= 0.0:
-            raise ValueError("oracle needs x away from the jump set")
-        # the window must not reach the compensator's jump at y = 1 either:
-        # I(eps) has a kink where it crosses, which stalls the extrapolation
-        base = dist if x == 1.0 else min(dist, 2.0 * abs(x - 1.0))
-        eps_sequence = [base * 0.5 * 2.0 ** -j for j in range(11)]
-    eps_sequence = list(eps_sequence)
-    if any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps sequence must decrease")
-    if dist < eps_sequence[-1]:
-        raise ValueError("oracle needs dist(x, jumps) >= min eps")
+    if dist <= 0.0:
+        raise ValueError("oracle needs x away from the jump set")
+    # the window must not reach the compensator's jump at y = 1 either
+    e = 0.5 * (dist if x == 1.0 else min(dist, 2.0 * abs(x - 1.0)))
+    Y = max(2.0, p.saturation + 1.0, x + 1.0 + 2.0 * e)
+    kinks = [1.0, *jumps.tolist()]
+    if p.mode == MODE_C1:
+        kinks += [xk + k for xk in jumps.tolist() for k in p.bridge.knots]
+    kinks = [k - x for k in kinks]
 
-    y_min = float(jumps.min())
-    Y = max(2.0, p.saturation + 1.0, x + 1.0 + 2.0 * eps_sequence[0])
-    kinks = [1.0]
-    for xk in jumps:
-        kinks.append(xk)
-        if p.mode == MODE_C1:
-            kinks.extend([xk + p.bridge.x0, xk + p.bridge.x_star])
+    def chi(y):
+        return np.where(y > 1.0, 1.0 / y, 0.0)
 
-    def q(y):
-        comp = np.where(y > 1.0, 1.0 / y, 0.0)
-        return p.f_vec(y) * (1.0 / (x - y) + comp)
-
-    def piece(a, b, eps):
-        if b <= a:
-            return 0.0
-        # the profile rise is log-compounded just above each jump, so every
-        # in-range jump gets its own geometric refinement, not just x
-        sets = [graded_edges(a, b, x, max(eps, (b - a) * 1e-9)),
-                [k for k in kinks if a < k < b], [a, b]]
-        for xk in jumps:
-            if a < xk < b:
-                sets.append(graded_edges(a, b, xk, (b - a) * 1e-9))
-        edges = merge_edges(*sets)
-        v1 = gauss_cells(q, edges, 21)
-        v2 = gauss_cells(q, edges, 29)
+    def certified(fn, edges):
+        v1 = gauss_cells(fn, edges, 21)
+        v2 = gauss_cells(fn, edges, 29)
         if abs(v1 - v2) > max(1e-8, 1e-8 * abs(v2)):
             raise QuadratureError(f"oracle cell quadrature disagrees: {abs(v1 - v2):.3e}")
         return v2
 
+    def folded(s):
+        fl, fr = p.f_vec(np.stack([x - s, x + s]))
+        return (fl - fr) / s + fl * chi(x - s) + fr * chi(x + s)
+
+    near = [0.0, *(abs(k) for k in kinks if 0.0 < abs(k) < e)]
+    window = certified(folded, merge_edges(*(graded_edges(0.0, e, s, e * 1e-9)
+                                             for s in near)))
+
+    def q(t):
+        y = x + t
+        return p.f_vec(y) * (chi(y) - 1.0 / t)
+
+    def piece(a, b):
+        if b <= a:
+            return 0.0
+        # the profile rise is log-compounded just above each jump, so every
+        # in-range jump gets its own geometric refinement, not just the pole
+        sets = [graded_edges(a, b, 0.0, max(e, (b - a) * 1e-9)),
+                [k for k in kinks if a < k < b], [a, b]]
+        for t in jumps - x:
+            if a < t < b:
+                sets.append(graded_edges(a, b, t, (b - a) * 1e-9))
+        return certified(q, merge_edges(*sets))
+
+    y_min = float(jumps.min())
+    outer = piece(y_min - x, -e) + piece(max(e, y_min - x), Y - x)
     tail = p.c_prime * (math.log(Y - x) - math.log(Y))
-    vals = []
-    for eps in eps_sequence:
-        left = piece(y_min, x - eps, eps) if x - eps > y_min else 0.0
-        right = piece(max(x + eps, y_min), Y, eps)
-        vals.append(left + right + tail)
-    rich = [2.0 * b - a for a, b in zip(vals, vals[1:])]
-    if len(rich) >= 2:
-        err = abs(rich[-1] - rich[-2])
-        if err > 1e-7 * max(1.0, abs(rich[-1])):
-            raise QuadratureError(
-                f"oracle extrapolation stalled: last diff {err:.3e}; I(eps) = {vals}")
-    return rich[-1] / PI if rich else vals[-1] / PI
+    return (window + outer + tail) / PI
 
 
 DEEP, MID, FAR = 0, 1, 2

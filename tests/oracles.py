@@ -13,6 +13,8 @@ breadth-first `KHtildeTable.build` must match bit for bit. Likewise the
 boundary rule one piece at a time (`integrate_split_total`) and the trace's
 own per-cell dispatch (`trace_per_cell`) are what the piece values of
 `conformal._integrate_split`, and the trace built on them, must match.
+The principal value by excision and Richardson extrapolation
+(`pv_richardson_oracle`) checks the library's folded PV oracle.
 """
 
 import cmath
@@ -297,6 +299,83 @@ def poisson_of_kf_oracle(ev, x, t):
         raise ValueError(f"truncation tail bound {tail_bound:.2e} too large at "
                          f"truncation half-width {L:g}")
     return val
+
+
+def pv_richardson_oracle(p, x: float, eps_sequence=None) -> float:
+    """K f(x) by symmetric excision, exact compensator and Richardson
+    extrapolation in the excision radius: the form that
+    `hilbert.pv_quadrature_oracle` folded into one regular window integral.
+
+    At each excision radius eps,
+
+      pi Kf(x; eps) = [int_{y_min}^{x-eps} + int_{x+eps}^{Y}] f(y) q(y) dy
+                      + c' (log(Y-x) - log Y),
+      q(y) = 1/(x-y) + chi_{y>1}/y,
+
+    where y_min is the support edge, Y covers the saturated range, and the
+    closed tail uses f == c' beyond Y. The excised window contributes
+    -2 eps f'(x) + O(eps^3), so the two-point Richardson step 2 I(eps/2) - I(eps)
+    converges at cubic rate; the last two extrapolants must agree to 1e-7.
+    The default radii start at half the distance from x to the nearest jump
+    or, when that is closer, to the compensator's jump at y = 1.
+    """
+    jumps = np.asarray(p.x, dtype=float)
+    dist = float(np.min(np.abs(x - jumps)))
+    if eps_sequence is None:
+        if dist <= 0.0:
+            raise ValueError("oracle needs x away from the jump set")
+        # the window must not reach the compensator's jump at y = 1 either:
+        # I(eps) has a kink where it crosses, which stalls the extrapolation
+        base = dist if x == 1.0 else min(dist, 2.0 * abs(x - 1.0))
+        eps_sequence = [base * 0.5 * 2.0 ** -j for j in range(11)]
+    eps_sequence = list(eps_sequence)
+    if any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
+        raise ValueError("eps sequence must decrease")
+    if dist < eps_sequence[-1]:
+        raise ValueError("oracle needs dist(x, jumps) >= min eps")
+
+    y_min = float(jumps.min())
+    Y = max(2.0, p.saturation + 1.0, x + 1.0 + 2.0 * eps_sequence[0])
+    kinks = [1.0]
+    for xk in jumps:
+        kinks.append(xk)
+        if p.mode == MODE_C1:
+            kinks.extend([xk + p.bridge.x0, xk + p.bridge.x_star])
+
+    def q(y):
+        comp = np.where(y > 1.0, 1.0 / y, 0.0)
+        return p.f_vec(y) * (1.0 / (x - y) + comp)
+
+    def piece(a, b, eps):
+        if b <= a:
+            return 0.0
+        # the profile rise is log-compounded just above each jump, so every
+        # in-range jump gets its own geometric refinement, not just x
+        sets = [graded_edges(a, b, x, max(eps, (b - a) * 1e-9)),
+                [k for k in kinks if a < k < b], [a, b]]
+        for xk in jumps:
+            if a < xk < b:
+                sets.append(graded_edges(a, b, xk, (b - a) * 1e-9))
+        edges = merge_edges(*sets)
+        v1 = gauss_cells(q, edges, 21)
+        v2 = gauss_cells(q, edges, 29)
+        if abs(v1 - v2) > max(1e-8, 1e-8 * abs(v2)):
+            raise QuadratureError(f"oracle cell quadrature disagrees: {abs(v1 - v2):.3e}")
+        return v2
+
+    tail = p.c_prime * (math.log(Y - x) - math.log(Y))
+    vals = []
+    for eps in eps_sequence:
+        left = piece(y_min, x - eps, eps) if x - eps > y_min else 0.0
+        right = piece(max(x + eps, y_min), Y, eps)
+        vals.append(left + right + tail)
+    rich = [2.0 * b - a for a, b in zip(vals, vals[1:])]
+    if len(rich) >= 2:
+        err = abs(rich[-1] - rich[-2])
+        if err > 1e-7 * max(1.0, abs(rich[-1])):
+            raise QuadratureError(
+                f"oracle extrapolation stalled: last diff {err:.3e}; I(eps) = {vals}")
+    return rich[-1] / PI if rich else vals[-1] / PI
 
 
 def pv_log_integral(a, b, x):

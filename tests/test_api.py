@@ -69,7 +69,7 @@ def test_removed_settings_stay_removed():
     from nondini.cli import RunConfig
     from nondini.conformal import BoundaryTrace, PathSpec, _segment_integral
     from nondini.halfplane import HarmonicEvaluator
-    from nondini.hilbert import HilbertEvaluator, KHtildeTable
+    from nondini.hilbert import HilbertEvaluator, KHtildeTable, pv_quadrature_oracle
     from nondini.measure import _nearest_on_segments
     from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
@@ -115,6 +115,8 @@ def test_removed_settings_stay_removed():
     assert not hasattr(HarmonicEvaluator, "boundary_arg")
     assert not hasattr(HarmonicEvaluator, "herglotz")
     assert "_cache" not in fields(HarmonicEvaluator)
+    # the PV oracle folds its window: no excision radii, no extrapolation
+    assert params(pv_quadrature_oracle) == {"p", "x"}
 
 
 def test_import_loads_no_scipy():

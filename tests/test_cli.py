@@ -215,6 +215,16 @@ def test_verify_single_suite(tmp_path):
     assert all(c["check"].startswith("appendix/") for c in rep["checks"])
 
 
+def test_verify_hilbert_at_a_bridge_knot_point(tmp_path):
+    # seed 2277 draws x = 0.720645..., 7.3e-5 from the bridge knot
+    # x_1 + x_star, where the oracle's Richardson form stalled
+    out = tmp_path / "v"
+    assert run_cli("--out", str(out), "--seed", "2277", "verify", "--suite", "hilbert") == 0
+    rep = json.loads((out / "report.json").read_text())
+    row = next(c for c in rep["checks"] if c["check"] == "hilbert/pv-oracle-agreement")
+    assert row["measured"] < 1e-12
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         run_cli("--mode", "lipschitz", "verify", "--suite", "everything")

@@ -410,6 +410,19 @@ def test_g_exponent_vec_keeps_shape(harm_c1):
         assert harm_c1.g_exponent_vec(empty).shape == empty.shape
 
 
+def test_V_and_W_keep_shape(harm_c1, harm_lip):
+    zs = np.array([[0.3 + 0.5j, 1.0 + 1.0j, -0.2 + 0.1j],
+                   [0.6 + 0.3j, 0.3 + 2.0j, 1.2 + 0.7j]])
+    for h in (harm_c1, harm_lip):
+        for fn in (h.V, h.W):
+            scalar = fn(zs[0, 0])
+            assert type(scalar) is float
+            out = fn(zs)
+            assert out.shape == zs.shape
+            assert np.array_equal(out.ravel(), [fn(z) for z in zs.ravel().tolist()])
+            assert np.array_equal(fn(zs[0, :2]), out[0, :2])
+
+
 def test_g_exponent_vec_rejects_lower_half_plane(harm_c1, harm_lip):
     for h in (harm_c1, harm_lip):
         for zs in ([0.3 + 0.5j, 0.3 + 0.0j], [0.3 - 1.0j], [complex(0.3, math.nan)],

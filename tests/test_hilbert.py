@@ -22,6 +22,7 @@ from oracles import (
     k_htilde_per_piece,
     pi_k_htilde,
     pv_log_integral,
+    pv_richardson_oracle,
     quad_scalar,
 )
 
@@ -78,7 +79,7 @@ def test_k_heaviside():
 def test_oracle_reproduces_heaviside_closed_form(ev_wedge):
     for x in (2.0, -0.5, 0.25, 10.0):
         orc = pv_quadrature_oracle(ev_wedge.profile, x)
-        assert abs(orc - math.log(abs(x)) / PI) < 1e-8
+        assert abs(orc - math.log(abs(x)) / PI) < 1e-14
 
 
 def test_oracle_two_step_profile():
@@ -88,16 +89,53 @@ def test_oracle_two_step_profile():
     for x in (-1.0, 0.1, 0.9, 3.0):
         exact = prof.c * math.fsum(
             a * math.log(abs(x - j)) / PI for a, j in zip(prof.a, prof.x))
-        assert abs(pv_quadrature_oracle(prof, x) - exact) < 1e-8
+        assert abs(pv_quadrature_oracle(prof, x) - exact) < 1e-14
         val, _ = ev.k_profile(x)
         assert val == pytest.approx(exact, abs=1e-14)
 
 
 def test_oracle_input_contracts(ev_wedge):
+    with pytest.raises(ValueError, match="away from the jump set"):
+        pv_quadrature_oracle(ev_wedge.profile, 0.0)
     with pytest.raises(ValueError):
-        pv_quadrature_oracle(ev_wedge.profile, 0.5, eps_sequence=[1e-3, 1e-3])
+        pv_richardson_oracle(ev_wedge.profile, 0.5, eps_sequence=[1e-3, 1e-3])
     with pytest.raises(ValueError):
-        pv_quadrature_oracle(ev_wedge.profile, 1e-6, eps_sequence=[1e-4, 5e-5])
+        pv_richardson_oracle(ev_wedge.profile, 1e-6, eps_sequence=[1e-4, 5e-5])
+
+
+def criterion_2_points(ev_lip, ev_c1):
+    """(profile, x) of the acceptance test's 50 points per mode, in its order."""
+    rng = np.random.default_rng(0)
+    for ev in (ev_lip, ev_c1):
+        p = ev.profile
+        tested = 0
+        while tested < 50:
+            x = float(rng.uniform(-2.0, 3.0))
+            if abs(x) < 1e-2 or min(abs(x - xk) for xk in p.x) < 1e-2:
+                continue
+            yield p, x
+            tested += 1
+
+
+def test_oracle_matches_richardson_form(ev_lip, ev_c1):
+    worst = max(abs(pv_quadrature_oracle(p, x) - pv_richardson_oracle(p, x))
+                for p, x in criterion_2_points(ev_lip, ev_c1))
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("x", [0.720645182655705, 0.720739806372411, 0.720548148410984])
+def test_oracle_near_a_bridge_knot(ev_c1, x):
+    # drawn by verify at seeds 2277, 2567 and 4918, within 1e-4 of the bridge
+    # knot x_1 + x_star; the excision window straddled the knot and its
+    # Richardson extrapolation stalled
+    with pytest.raises(QuadratureError, match="stalled"):
+        pv_richardson_oracle(ev_c1.profile, x)
+    assert abs(pv_quadrature_oracle(ev_c1.profile, x) - ev_c1.k_profile(x)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("x", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_oracle_next_to_the_compensator_jump(ev_c1, x):
+    assert abs(pv_quadrature_oracle(ev_c1.profile, x) - ev_c1.k_profile(x)[0]) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
