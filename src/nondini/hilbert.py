@@ -407,11 +407,11 @@ def pv_quadrature_oracle(p: TangentProfile, x: float) -> float:
     folded onto s = |y - x|: its integrand tends to -2 f'(x) as s -> 0, so it
     needs no excision. Its cells are graded toward s = 0 and toward every
     kink of f in the window, each of which is an edge. The outer pieces take
-    the pole as the exact -1/t, graded toward t = 0 and toward every jump,
-    with every kink an edge. Each of the three integrals must agree between
-    Gauss orders 21 and 29 (QuadratureError otherwise). Only profile values
-    are used: this path is independent of the region formulas by
-    construction.
+    the pole as the exact -1/t, graded toward t = 0 from the window's edge
+    and toward every jump, with every kink an edge. Each of the three
+    integrals must agree between Gauss orders 21 and 29 (QuadratureError
+    otherwise). Only profile values are used: this path is independent of
+    the region formulas by construction.
     """
     jumps = np.asarray(p.x, dtype=float)
     dist = float(np.min(np.abs(x - jumps)))
@@ -452,7 +452,7 @@ def pv_quadrature_oracle(p: TangentProfile, x: float) -> float:
             return 0.0
         # the profile rise is log-compounded just above each jump, so every
         # in-range jump gets its own geometric refinement, not just the pole
-        sets = [graded_edges(a, b, 0.0, max(e, (b - a) * 1e-9)),
+        sets = [graded_edges(a, b, 0.0, e),
                 [k for k in kinks if a < k < b], [a, b]]
         for t in jumps - x:
             if a < t < b:
