@@ -14,9 +14,9 @@ Subcommands:
 Configuration is one JSON document whose keys are the fields of RunConfig and
 of its sections (see DEFAULT_CONFIG); unknown keys, wrong types and non-finite
 numbers are rejected so misspelled settings fail loudly instead of silently
-defaulting. quad_tol sets the tolerance of trace_boundary's anchor path and of
-integrate_phi in the conformal checks; it does not set the 1e-10 of
-HilbertEvaluator or the 3e-12 of HarmonicEvaluator.
+defaulting. No key sets a quadrature tolerance: each layer certifies its own
+(1e-10 for HilbertEvaluator, 3e-12 for HarmonicEvaluator, conformal.PHI_TOL
+for the interior paths of Phi).
 All CSV output uses 17 significant digits and every run is deterministic
 given the config and seed.
 """
@@ -97,9 +97,8 @@ class TraceConfig:
         if self.base_n < 2:
             raise ValueError("base_n must be at least 2")
 
-    def boundary(self, ev: HilbertEvaluator, tol: float) -> BoundaryTrace:
-        return trace_boundary(ev, self.x_lo, self.x_hi, base_n=self.base_n,
-                              tol=tol)
+    def boundary(self, ev: HilbertEvaluator) -> BoundaryTrace:
+        return trace_boundary(ev, self.x_lo, self.x_hi, base_n=self.base_n)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class RunConfig:
     amplitude_rule: str = "geometric"
     K: int = 20
     beta: float = 0.5
-    quad_tol: float = 1e-9
     trace: TraceConfig = TraceConfig()
     mc: MCConfig = MCConfig()
     out_dir: str = "out"
@@ -122,8 +120,6 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.c_prime_target < PI / 2.0:
             raise ValueError("c_prime_target must lie in (0, pi/2)")
-        if not self.quad_tol > 0.0:
-            raise ValueError("tolerances must be positive")
         if self.K < 1:
             raise ValueError("need at least one jump")
         jump_amplitudes(self.amplitude_rule, self.K)
@@ -210,7 +206,7 @@ def _ensure_out(cfg: RunConfig):
 def cmd_construct(cfg: RunConfig) -> int:
     ev = build_evaluator(cfg)
     p = ev.profile
-    trace = cfg.trace.boundary(ev, cfg.quad_tol)
+    trace = cfg.trace.boundary(ev)
     out = _ensure_out(cfg)
     _write_json(f"{out}/profile.json", {
         "mode": p.mode,
@@ -282,9 +278,8 @@ def _checks_halfplane(cfg: RunConfig, harm: HarmonicEvaluator):
 
 def _checks_conformal(cfg: RunConfig, harm: HarmonicEvaluator):
     z = 0.6 + 0.8j
-    direct = integrate_phi(harm, z, tol=cfg.quad_tol)
-    dogleg = integrate_phi(harm, z, path=PathSpec((BASE_POINT, 2j, z)),
-                           tol=cfg.quad_tol)
+    direct = integrate_phi(harm, z)
+    dogleg = integrate_phi(harm, z, path=PathSpec((BASE_POINT, 2j, z)))
     yield ("conformal/path-independence", abs(direct - dogleg), 1e-8)
     yield ("conformal/base-point-normalization",
            abs(integrate_phi(harm, BASE_POINT)), 1e-15)
@@ -407,7 +402,7 @@ def cmd_density(cfg: RunConfig, centers, r_min: float, r_max: float) -> int:
         raise ValueError("need 0 < r_min < r_max")
     rs = _dyadic_ladder(r_max, r_min, "dyadic radii between r_min and r_max")
     ev = build_evaluator(cfg)
-    trace = cfg.trace.boundary(ev, cfg.quad_tol)
+    trace = cfg.trace.boundary(ev)
     report = singular_set_scan(trace, ev, centers, rs)
     out = _ensure_out(cfg)
     report.to_csv(f"{out}/density.csv")
@@ -422,7 +417,7 @@ def cmd_density(cfg: RunConfig, centers, r_min: float, r_max: float) -> int:
 
 def cmd_mc_oracle(cfg: RunConfig) -> int:
     ev = build_evaluator(cfg)
-    trace = cfg.trace.boundary(ev, cfg.quad_tol)
+    trace = cfg.trace.boundary(ev)
     lo, hi = cfg.trace.x_lo, cfg.trace.x_hi
     a, b = lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)
     edges = np.linspace(a, b, 5)

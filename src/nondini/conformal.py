@@ -8,9 +8,10 @@ from the jump set; at a jump x_k the modulus blows up like |x - x_k|^(-p) with
 p = c a_k / pi < 1/2, an integrable power, so Phi extends continuously to the
 closed half plane.
 
-Interior path segments use adaptive Gauss-Kronrod on G. Along the real line
-there is one rule: the singular-split planner cuts the run at the jumps, the
-pieces that end at a jump are integrated after the flattening substitution
+Interior path segments use the certified graded rule on G, refined from one
+cell toward wherever G varies, at PHI_TOL. Along the real line there is one
+rule: the singular-split planner cuts the run at the jumps, the pieces that
+end at a jump are integrated after the flattening substitution
 sigma = s^(1/(1-p)), and the others on fixed-order Gauss cells. A path that
 ends at a jump should therefore end with a boundary run; an interior segment
 that ends at a jump gets no flattening. trace_boundary runs the same planner
@@ -34,9 +35,8 @@ from .hilbert import HilbertEvaluator
 from .profile import MODE_LIPSCHITZ, TangentProfile
 from .quadrature import (
     gauss_cell_values,
-    gauss_rule,
+    gauss_graded,
     integrate_power_endpoint,
-    quad_complex,
     split_plan,
 )
 
@@ -45,6 +45,8 @@ BASE_POINT = 1j
 
 # deepest dyadic refinement scale toward a boundary singularity
 REFINE_FLOOR_LOG2 = 28
+# tolerance of every interior path segment of Phi
+PHI_TOL = 1e-9
 
 
 def _as_harmonic(ev) -> HarmonicEvaluator:
@@ -71,7 +73,7 @@ class PathSpec:
 
     A segment with both ends on the real line is a boundary run: it is cut at
     the jumps, and the pieces that end at a jump are flattened. Every other
-    segment is integrated with adaptive Gauss-Kronrod and gets no flattening,
+    segment is integrated with the certified graded rule and gets no flattening,
     so a path to a jump x_k should reach it along the boundary, as in
     (i, x_k + h, x_k).
     """
@@ -162,18 +164,20 @@ def _auto_path(p: TangentProfile, z: complex) -> PathSpec:
     return PathSpec((BASE_POINT, complex(x + h), z))
 
 
-def _segment_integral(harm: HarmonicEvaluator, z1: complex, z2: complex,
-                      tol: float) -> complex:
+def _segment_integral(harm: HarmonicEvaluator, z1: complex, z2: complex) -> complex:
+    """int G from z1 to z2 along the segment: a boundary run if both ends are
+    real, else gauss_graded over s in [0, 1] at PHI_TOL."""
     if z1.imag == 0.0 and z2.imag == 0.0:
         return _boundary_integral(harm.ev, z1.real, z2.real)
     dz = z2 - z1
-    val, _ = quad_complex(lambda s: np.exp(harm.g_exponent_vec(z1 + s * dz)),
-                          0.0, 1.0, tol=tol)
+    # 40 rounds reach cells of 2^-39 of the segment; an interior segment that
+    # ends at a jump certifies with cells of about 2^-22 there
+    val = gauss_graded(lambda s: np.exp(harm.g_exponent_vec(z1 + s * dz)),
+                       [0.0, 1.0], tol=PHI_TOL, max_rounds=40)
     return val * dz
 
 
-def integrate_phi(ev, z: complex, path: PathSpec | None = None,
-                  tol: float = 1e-9) -> complex:
+def integrate_phi(ev, z: complex, path: PathSpec | None = None) -> complex:
     """Phi(z) = int_{path} G with Phi(i) = 0; auto path if none is given.
 
     The auto path is the straight segment from i. A jump x_k, or 0 in c1 mode,
@@ -198,7 +202,7 @@ def integrate_phi(ev, z: complex, path: PathSpec | None = None,
     total = 0.0 + 0.0j
     wps = path.waypoints
     for z1, z2 in zip(wps, wps[1:]):
-        total += _segment_integral(harm, z1, z2, tol)
+        total += _segment_integral(harm, z1, z2)
     return total
 
 
@@ -280,8 +284,7 @@ def _trace_grid(p: TangentProfile, x_lo: float, x_hi: float, base_n: int):
     return np.array(sorted(xs))
 
 
-def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200,
-                   tol: float = 1e-9) -> BoundaryTrace:
+def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200) -> BoundaryTrace:
     """Sample Phi along [x_lo, x_hi] by telescoping boundary integration.
 
     The grid refines dyadically (ratio 1/2 down to 2^-28) toward 0 and every
@@ -305,7 +308,7 @@ def trace_boundary(ev, x_lo: float, x_hi: float, base_n: int = 200,
     sing = np.isin(xs, np.asarray(p.x, dtype=float))
     gfn = _boundary_g(ev)
 
-    anchor = integrate_phi(harm, complex(xs[0], 0.0), tol=tol)
+    anchor = integrate_phi(harm, complex(xs[0], 0.0))
     # one plan per grid cell, so that each increment sums its own pieces; a
     # cell with no jump at either end holds none inside either (every jump in
     # the window is a grid point), so it is one regular piece as planned
@@ -371,15 +374,16 @@ def segment_margin(ev, z1: complex, z2: complex, cells: int = 6) -> float:
         raise ValueError("degenerate segment")
     harm = _as_harmonic(ev)
     cp = harm.profile.c_prime
-    t, w = gauss_rule(15)
+    abs_g = []
+
+    def g(s):
+        vals = np.exp(harm.g_exponent_vec(z1 + s * (z2 - z1)))
+        abs_g.append(np.abs(vals).min())
+        return vals
+
     edges = np.linspace(0.0, 1.0, cells + 1)
-    h = 0.5 * (edges[1:] - edges[:-1])
-    ss = edges[:-1, None] + (t[None, :] + 1.0) * h[:, None]
-    vals = np.exp(harm.g_exponent_vec(z1 + ss * (z2 - z1)))
-    re_int = 0.0
-    for row, hc in zip(vals.real, h):
-        re_int += float(np.sum(w * row) * hc)
-    return re_int - math.cos(cp) * float(np.abs(vals).min())
+    re_int = float(gauss_cell_values(g, edges[:-1], edges[1:]).real.sum())
+    return re_int - math.cos(cp) * float(min(abs_g))
 
 
 @dataclass(frozen=True)
@@ -390,7 +394,7 @@ class GrowthReport:
     target_exponent: float
 
 
-def growth_check(ev, radii, n_angles: int = 5, tol: float = 1e-8) -> GrowthReport:
+def growth_check(ev, radii, n_angles: int = 5) -> GrowthReport:
     """|Phi| >~ |z|^(1 - c'/pi) sampled on arcs, checked via ray telescoping.
 
     For each sampled angle, Phi is integrated once to the smallest radius and
@@ -414,11 +418,11 @@ def growth_check(ev, radii, n_angles: int = 5, tol: float = 1e-8) -> GrowthRepor
     for i_a, ang in enumerate(angles):
         u = cmath.exp(1j * ang)
         z_prev = radii[0] * u
-        phi = integrate_phi(harm, z_prev, tol=tol)
+        phi = integrate_phi(harm, z_prev)
         log_phi[0, i_a] = math.log(abs(phi))
         for i_r, r in enumerate(radii[1:], start=1):
             z_next = r * u
-            phi += _segment_integral(harm, z_prev, z_next, tol)
+            phi += _segment_integral(harm, z_prev, z_next)
             log_phi[i_r, i_a] = math.log(abs(phi))
             z_prev = z_next
     prods = np.exp(log_phi) * (np.asarray(radii)[:, None] ** (cp / PI - 1.0))

@@ -10,17 +10,15 @@ planner serve all of them:
   one interval, or one vectorized pass over many) and `merge_edges` unions
   edge sets;
 * `gauss_graded`, the certified form of that rule, for a batch of integrals
-  each over its own edge list (a single edge list is a batch of one): per
-  integral, orders 15 and 23 must agree within the tolerance, the cells of an
-  integral that fails are halved between rounds, and the measured error is
-  raised as QuadratureError when the rounds run out;
+  each over its own edge list (a single edge list is a batch of one), real or
+  complex: per integral, orders 15 and 23 must agree within the tolerance,
+  an integral that fails halves only the cells that hold most of its error,
+  and the measured error is raised as QuadratureError when the rounds run
+  out;
 * `integrate_power_endpoint`, the rule after the flattening substitution that
   removes an |x - endpoint|^(-p) singularity;
 * `split_plan`, the singular-split planner: it cuts an interval at the
   singular locations so that every piece has at most one singular end.
-
-`quad_complex` (adaptive Gauss-Kronrod, one call of a vectorized integrand
-per cell) covers complex line integrals in the interior.
 
 The Gauss-cell rules call their integrand on at most _CHUNK nodes at a time,
 whole cells of one or many integrals, and reduce every integral alone in the
@@ -30,7 +28,6 @@ chunking and batching never change a bit.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -46,7 +43,6 @@ __all__ = [
     "gauss_graded",
     "integrate_power_endpoint",
     "split_plan",
-    "quad_complex",
 ]
 
 
@@ -200,70 +196,85 @@ def merge_edges(*edge_sets) -> np.ndarray:
     return np.unique(np.concatenate([np.asarray(e, dtype=float) for e in edge_sets]))
 
 
-def _cell_sums(fn, edges: list, todo: list, n: int) -> list:
-    """gauss_cells of each integral in `todo` at order n, fn(y, owner).
+def _cell_values(fn, cells: list, todo: list, n: int) -> list:
+    """Order-n Gauss values of the cells of each integral in `todo`, fn(y, owner).
 
-    Whole integrals share one integrand call up to _CHUNK nodes (a larger one
-    gets its own, chunked by _node_values); each sum is reduced alone, in
-    gauss_cells' shapes, so it has gauss_cells' bits.
+    cells[i] is the pair (a, b) of cell ends of integral i. Whole integrals
+    share one integrand call up to _CHUNK nodes (a larger one gets its own,
+    chunked by _node_values); each integral's values are reduced alone, in
+    gauss_cell_values' shapes, so they have its bits.
     """
     w = gauss_rule(n)[1]
-    sums = []
+    out = []
     start = 0
     while start < len(todo):
-        stop, size = start + 1, (edges[todo[start]].size - 1) * n
-        while stop < len(todo) and size + (edges[todo[stop]].size - 1) * n <= _CHUNK:
-            size += (edges[todo[stop]].size - 1) * n
+        stop, size = start + 1, cells[todo[start]][0].size * n
+        while stop < len(todo) and size + cells[todo[stop]][0].size * n <= _CHUNK:
+            size += cells[todo[stop]][0].size * n
             stop += 1
         group = todo[start:stop]
-        a = np.concatenate([edges[i][:-1] for i in group])
-        b = np.concatenate([edges[i][1:] for i in group])
-        cells = [edges[i].size - 1 for i in group]
-        vals = _node_values(fn, a, b, n, np.repeat(group, cells))
+        a = np.concatenate([cells[i][0] for i in group])
+        b = np.concatenate([cells[i][1] for i in group])
+        counts = [cells[i][0].size for i in group]
+        vals = _node_values(fn, a, b, n, np.repeat(group, counts))
         cell = np.empty(a.size, dtype=vals.dtype)
-        bounds = np.cumsum([0] + cells).tolist()
+        bounds = np.cumsum([0] + counts).tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             np.matmul(vals[lo:hi], w, out=cell[lo:hi])
         cell *= 0.5 * (b - a)
-        sums += [cell[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
+        out += [cell[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         start = stop
-    return sums
+    return out
 
 
 def gauss_graded(fn, edges, tol: float, max_rounds: int = 3):
     """Certified Gauss-cell integration of a batch of integrals, each over its
-    own prescribed edge list.
+    own prescribed edge list, refined locally.
 
     `edges` is a list of increasing edge arrays, and fn(y, owner) evaluates
     at each node y[i] the integrand of integral owner[i]; owner is
     non-decreasing, since a call holds whole cells of consecutive integrals.
     The batch returns an array of values. A single edge array is a batch of
-    one with fn(y), and returns its value.
+    one with fn(y), and returns its value. The integrand may be complex.
 
-    For each integral, orders 15 and 23 must agree within tol (absolute or
-    relative, whichever is looser); otherwise that integral's cells are
-    halved and the comparison repeated, while the integrals already certified
-    are left alone. Returns the order-23 values; after max_rounds failed
-    rounds raises QuadratureError carrying the measured error of the first
-    integral that failed. Every value has the bits of integrating its
-    integral alone.
+    An integral passes when its order-15 and order-23 sums agree within
+    budget = max(tol, tol * |order-23 sum|). An integral that fails halves
+    only its cells whose own 15/23 difference exceeds budget / (2 * cells);
+    its other cells keep their values and are not evaluated again, and the
+    integrals already certified are left alone. Returns the order-23 sums;
+    after max_rounds failed rounds raises QuadratureError carrying the
+    measured error of the first integral that failed. Every value has the
+    bits of integrating its integral alone, and an integral that passes the
+    first round has the bits of gauss_cells at order 23.
     """
     if not len(edges) or np.ndim(edges[0]) == 0:
         return gauss_graded(lambda y, owner: fn(y), [edges], tol, max_rounds)[0]
-    edges = [np.asarray(e, dtype=float) for e in edges]
-    out = [0.0] * len(edges)
-    err = [math.inf] * len(edges)
-    todo = list(range(len(edges)))
+    new = [(e[:-1], e[1:]) for e in (np.asarray(e, dtype=float) for e in edges)]
+    # per integral, the (a, b, order-15, order-23) cells kept from earlier rounds
+    kept = [None] * len(new)
+    out = [0.0] * len(new)
+    err = [math.inf] * len(new)
+    todo = list(range(len(new)))
     for _ in range(max_rounds):
-        v1 = _cell_sums(fn, edges, todo, 15)
-        v2 = _cell_sums(fn, edges, todo, 23)
+        v15 = _cell_values(fn, new, todo, 15)
+        v23 = _cell_values(fn, new, todo, 23)
         failed = []
-        for i, lo, hi in zip(todo, v1, v2):
-            err[i] = abs(lo - hi)
-            out[i] = hi
-            if not err[i] <= max(tol, tol * abs(hi)):
-                e = edges[i]
-                edges[i] = np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])]))
+        for i, c15, c23 in zip(todo, v15, v23):
+            a, b = new[i]
+            if kept[i] is not None:
+                order = np.argsort(np.concatenate([kept[i][0], a]), kind="stable")
+                a, b, c15, c23 = (np.concatenate([k, v])[order]
+                                  for k, v in zip(kept[i], (a, b, c15, c23)))
+            out[i] = c23.sum()
+            err[i] = abs(c15.sum() - out[i])
+            budget = max(tol, tol * abs(out[i]))
+            if not err[i] <= budget:
+                # a NaN difference counts as over the share
+                split = ~(np.abs(c15 - c23) <= 0.5 * budget / a.size)
+                kept[i] = tuple(v[~split] for v in (a, b, c15, c23))
+                lo, hi = a[split], b[split]
+                mid = 0.5 * (lo + hi)
+                new[i] = (np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel())
                 failed.append(i)
         todo = failed
         if not todo:
@@ -332,71 +343,3 @@ def split_plan(a: float, b: float, locs, exps):
         else:
             plan.append((lo, hi, None, ""))
     return plan
-
-
-# 15-point Kronrod rule with embedded 7-point Gauss (standard constants).
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_GK_MAX_SPLITS = 400
-
-
-def _gk15(fn, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.asarray(fn(mid + half * _XK))
-    ik = half * np.sum(_WK * vals)
-    ig = half * np.sum(_WG * vals[_G_IDX])
-    return ik, abs(ik - ig)
-
-
-def quad_complex(fn, a: float, b: float, tol: float = 1e-12):
-    """Adaptive Gauss-Kronrod integration of a vectorized (possibly complex) fn.
-
-    fn is called once per cell with the array of that cell's 15 Kronrod
-    nodes and returns their 15 values; the nodes and the sums are those of
-    evaluating fn node by node. Returns (value, error_estimate); raises
-    QuadratureError past 400 subdivisions. Interval endpoints are never
-    evaluated exactly unless they coincide with a Kronrod node image, so mild
-    endpoint singularities that are merely large (not NaN) integrate cleanly.
-    """
-    if a == b:
-        return 0.0 + 0.0j, 0.0
-    val, err = _gk15(fn, a, b)
-    heap = [(-err, a, b, val, err)]
-    total = val
-    total_err = err
-    splits = 0
-    while total_err > max(tol, tol * abs(total)) and splits < _GK_MAX_SPLITS:
-        neg, lo, hi, v, e = heapq.heappop(heap)
-        m = 0.5 * (lo + hi)
-        v1, e1 = _gk15(fn, lo, m)
-        v2, e2 = _gk15(fn, m, hi)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, lo, m, v1, e1))
-        heapq.heappush(heap, (-e2, m, hi, v2, e2))
-        splits += 1
-    if total_err > max(tol, tol * abs(total)):
-        raise QuadratureError(
-            f"complex GK15 stalled at error {total_err:.3e} (tol {tol:.3e})")
-    return total, total_err
-

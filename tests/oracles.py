@@ -51,13 +51,14 @@ _ORACLE_HALF_WIDTH = 4000.0
 SMOOTHING_TOL = 1e-10
 
 
-def quad_scalar(fn, a, b, tol: float = 1e-10) -> float:
+def quad_scalar(fn, a, b, tol: float = 1e-10, complex_func: bool = False):
     """scipy.integrate.quad (at most 300 subintervals) with the error estimate
-    promoted to an exception."""
+    promoted to an exception; a complex fn needs complex_func=True, and its
+    real and imaginary parts are integrated apart."""
     from scipy.integrate import quad
 
-    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=300)
-    if err > 100.0 * max(tol, tol * abs(y)) + 1e-15:
+    y, err = quad(fn, a, b, epsabs=tol, epsrel=tol, limit=300, complex_func=complex_func)
+    if abs(err) > 100.0 * max(tol, tol * abs(y)) + 1e-15:
         raise QuadratureError(f"quad error estimate {err:.3e} exceeds tol {tol:.3e}")
     return y
 
@@ -121,8 +122,7 @@ def integrate_split_total(fn, plan, cells: int = 4) -> complex:
     return total
 
 
-def trace_per_cell(ev, x_lo: float, x_hi: float, base_n: int = 200,
-                   tol: float = 1e-9) -> BoundaryTrace:
+def trace_per_cell(ev, x_lo: float, x_hi: float, base_n: int = 200) -> BoundaryTrace:
     """trace_boundary with its own per-cell dispatch: a cell whose left end is
     a jump is flattened there, else one whose right end is, else it is one
     23-point Gauss cell. A cell with a jump at both ends is flattened at its
@@ -138,7 +138,7 @@ def trace_per_cell(ev, x_lo: float, x_hi: float, base_n: int = 200,
     gfn = _boundary_g(ev)
     exponent = {xk: p.c * ak / PI for ak, xk in zip(p.a, p.x)}
 
-    anchor = integrate_phi(harm, complex(xs[0], 0.0), tol=tol)
+    anchor = integrate_phi(harm, complex(xs[0], 0.0))
     increments = np.empty(xs.size - 1, dtype=complex)
     quad_err = 0.0
     regular = []

@@ -45,6 +45,8 @@ REMOVED = (
     # the second boundary G and the trace's own singular planner: boundary G
     # is conformal._boundary_g, and split_plan is the only planner
     "boundary_G", "_singular_exponent",
+    # the second adaptive rule: interior segments run through gauss_graded
+    "quad_complex",
 )
 
 
@@ -67,13 +69,20 @@ def test_removed_names_stay_removed(module):
 
 def test_removed_settings_stay_removed():
     from nondini.cli import RunConfig
-    from nondini.conformal import BoundaryTrace, PathSpec, _segment_integral
+    from nondini.conformal import (
+        BoundaryTrace,
+        PathSpec,
+        _segment_integral,
+        growth_check,
+        integrate_phi,
+        trace_boundary,
+    )
     from nondini.halfplane import HarmonicEvaluator
     from nondini.hilbert import HilbertEvaluator, KHtildeTable, pv_quadrature_oracle
     from nondini.measure import _nearest_on_segments
     from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
-    from nondini.quadrature import gauss_graded, integrate_power_endpoint, quad_complex
+    from nondini.quadrature import gauss_graded, integrate_power_endpoint
 
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -91,6 +100,10 @@ def test_removed_settings_stay_removed():
     assert "rules" not in fields(PathSpec)
     assert not hasattr(PathSpec, "segments")
     assert "rule" not in params(_segment_integral)
+    # interior paths of Phi have one tolerance, conformal.PHI_TOL, and no knob
+    assert "quad_tol" not in fields(RunConfig)
+    assert not any("tol" in params(fn) for fn in (
+        integrate_phi, trace_boundary, growth_check, _segment_integral))
     assert "use_cache" not in fields(HarmonicEvaluator)
     assert "use_table" not in (params(HilbertEvaluator.kf_vec)
                                | params(HilbertEvaluator.k_htilde_vec))
@@ -101,7 +114,7 @@ def test_removed_settings_stay_removed():
     # the table is one stacked lookup that never calls back into the evaluator
     assert not hasattr(KHtildeTable, "_eval_branch")
     assert not hasattr(KHtildeTable([], np.zeros((0, KHtildeTable.DEG + 1)), 0.0), "ev")
-    assert "limit" not in params(quad_complex) | params(oracles.quad_scalar)
+    assert "limit" not in params(oracles.quad_scalar)
     assert "n" not in params(gauss_graded)
     assert params(classify_dini) == {"spec"}
     # the tabulated theta_tilde is a closed form, with no tolerance to set

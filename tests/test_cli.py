@@ -42,14 +42,14 @@ def test_config_round_trip_default():
 def test_config_round_trip_modified():
     cfg = RunConfig(theta=ThetaConfig(kind="power", c=0.2, gamma=0.5),
                     mode="lipschitz", c_prime_target=0.8,
-                    amplitude_rule="uniform", K=5, beta=0.25, quad_tol=1e-8,
+                    amplitude_rule="uniform", K=5, beta=0.25,
                     trace=TraceConfig(x_lo=-2.0, x_hi=3.0, base_n=77),
                     mc=MCConfig(n_walkers=1234, seed=9, wos_epsilon=1e-5,
                                 max_steps=500, far_radius=100.0),
                     out_dir="elsewhere")
     doc = dataclasses.asdict(cfg)
     default = _leaves(dataclasses.asdict(DEFAULT_CONFIG))
-    assert len(default) == 18
+    assert len(default) == 17
     assert all(v != default[k] for k, v in _leaves(doc).items())
     assert parse_config(json.loads(json.dumps(doc))) == cfg
 
@@ -69,9 +69,12 @@ def test_config_rejects_unknown_keys():
         parse_config({"mc": {"walkers": 10}})
     with pytest.raises(ValueError, match="theta.foo"):
         parse_config({"theta": {"foo": 1.0}})
-    # every key must take effect: the unused tail tolerance is gone
+    # every key must take effect: the unused tail tolerance is gone, and so
+    # is quad_tol, which set only the interior paths of Phi
     with pytest.raises(ValueError, match="unknown config key: tail_tol"):
         parse_config({"tail_tol": 1e-8})
+    with pytest.raises(ValueError, match="unknown config key: quad_tol"):
+        parse_config({"quad_tol": 1e-9})
 
 
 def test_config_rejects_wrong_types():
@@ -88,7 +91,7 @@ def test_config_rejects_wrong_types():
                       ('{"mc": {"wos_epsilon": Infinity}}', "mc.wos_epsilon"),
                       ('{"theta": {"kind": "constant", "c": NaN}}', "theta.c"),
                       ('{"beta": -Infinity}', "beta"),
-                      ('{"quad_tol": 1%s}' % ("0" * 400), "quad_tol")):
+                      ('{"c_prime_target": 1%s}' % ("0" * 400), "c_prime_target")):
         with pytest.raises(ValueError,
                            match=f"config key {key}: expected a finite number"):
             parse_config(json.loads(text))
@@ -105,8 +108,6 @@ def test_config_validation():
         RunConfig(trace=TraceConfig(x_lo=0.5))
     with pytest.raises(ValueError, match="base_n"):
         RunConfig(trace=TraceConfig(base_n=1))
-    with pytest.raises(ValueError, match="tolerances"):
-        RunConfig(quad_tol=-1.0)
     with pytest.raises(ValueError, match="unknown mode"):
         RunConfig(mode="linear")
 

@@ -23,7 +23,7 @@ from nondini.conformal import (
     trace_boundary,
 )
 
-from oracles import integrate_split_total, trace_per_cell
+from oracles import integrate_split_total, quad_scalar, trace_per_cell
 
 PI = math.pi
 
@@ -134,6 +134,27 @@ def test_phi_at_jump_matches_trace(ev_c1, trace_c1, k):
     xk = ev_c1.profile.x[k]
     j = int(np.flatnonzero(trace_c1.x == xk)[0])
     assert abs(integrate_phi(ev_c1, complex(xk)) - trace_c1.phi[j]) < 1e-8
+
+
+def _segment_cases():
+    ray = cmath.exp(1j * PI / 12.0)
+    c1 = [(1j, 0.6 + 0.8j), (2j, 0.6 + 0.8j), (256.0 * ray, 1024.0 * ray), (1j, -1 + 0j)]
+    lip = [(1j, -1 + 0j), ("x1", 1e-3), ("x1", 1e-6j)]
+    return [("ev_c1", z1, z2) for z1, z2 in c1] + [("ev_lip", z1, z2) for z1, z2 in lip]
+
+
+@pytest.mark.parametrize("name, z1, z2", _segment_cases())
+def test_segment_integral_matches_quadpack(request, name, z1, z2):
+    # interior segments through gauss_graded at PHI_TOL against scipy's
+    # QUADPACK at 1e-13, node by node; "x1" stands for i -> x_1 + offset
+    harm = conformal._as_harmonic(request.getfixturevalue(name))
+    if z1 == "x1":
+        z1, z2 = 1j, harm.profile.x[0] + z2
+    dz = z2 - z1
+    ref = quad_scalar(lambda s: complex(harm.G(z1 + s * dz)) * dz, 0.0, 1.0,
+                      tol=1e-13, complex_func=True)
+    got = conformal._segment_integral(harm, complex(z1), complex(z2))
+    assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
 def test_phi_at_origin_matches_trace(ev_c1, trace_c1):

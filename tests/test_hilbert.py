@@ -475,16 +475,17 @@ def test_direct_batch_is_the_per_point_oracle_hypothesis(ev_c1, draws):
 
 
 def test_direct_batch_stall_raises_the_oracle_error(ev_c1):
-    # at quad_tol 1e-18 these points still certify and -1e-3 does not: the
-    # batch raises with the measured error the oracle gives for that point
+    # at quad_tol 1e-18 these points still certify and 0.2 does not (its
+    # error stalls at the rounding floor): the batch raises with the measured
+    # error the oracle gives for that point
     strict = HilbertEvaluator(ev_c1.profile, quad_tol=1e-18)
     good = [-3.0, -0.5, 0.3, 2.0]
     assert all(math.isfinite(pi_k_htilde(strict, x)) for x in good)
     with pytest.raises(QuadratureError, match="stalled at") as oracle:
-        pi_k_htilde(strict, -1e-3)
+        pi_k_htilde(strict, 0.2)
     with pytest.raises(QuadratureError) as batch:
         HilbertEvaluator(ev_c1.profile, quad_tol=1e-18).k_htilde_direct(
-            np.array(good[:2] + [-1e-3] + good[2:]))
+            np.array(good[:2] + [0.2] + good[2:]))
     assert str(batch.value) == str(oracle.value)
 
 

@@ -17,10 +17,9 @@ from nondini.quadrature import (
     graded_edges,
     integrate_power_endpoint,
     merge_edges,
-    quad_complex,
     split_plan,
 )
-from nondini.quadrature import _CHUNK, _XK
+from nondini.quadrature import _CHUNK
 
 
 # -- Gauss-cell rule ---------------------------------------------------------
@@ -142,22 +141,62 @@ def test_gauss_graded_batch_is_each_integral_alone():
 
 
 def test_gauss_graded_batch_halves_only_the_failed_integrals():
-    # integral 0 certifies in the first round, integral 1 (a step inside a
-    # cell) never does: 1 is halved every round and reported, 0 is not
-    seen = {0: [], 1: []}
+    # eight cells and a kink at 1/3 inside [1/4, 3/8]: integral 0 certifies in
+    # the first round, and integral 1 halves only the cell that holds the
+    # kink, keeping the values of the others; after round 1 every node lies
+    # in the kink's cell, two new cells a round
+    edges = np.linspace(0.0, 1.0, 9)
+    seen = []
 
     def fn(y, owner):
-        for k in (0, 1):
-            seen[k].append(int(np.count_nonzero(owner == k)))
+        seen.append((y.copy(), owner.copy()))
+        return np.where(owner == 0, y * y, np.abs(y - 1.0 / 3.0))
+
+    batch = gauss_graded(fn, [edges, edges], tol=1e-12, max_rounds=40)
+    assert batch[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # at a kink the 15/23 difference bounds the error only to within a factor
+    assert batch[1] == pytest.approx(5.0 / 18.0, rel=1e-10)
+    assert [y.size for y, _ in seen[:2]] == [2 * 8 * 15, 2 * 8 * 23]
+    later = seen[2:]
+    assert later and all(np.all(owner == 1) for _, owner in later)
+    assert all(y.size == 2 * n for (y, _), n in zip(later, [15, 23] * len(later)))
+    assert all(np.all((y > 0.25) & (y < 0.375)) for y, _ in later)
+    # each value is that of its integral alone
+    assert batch[0] == gauss_graded(lambda y: y * y, edges, tol=1e-12)
+    assert batch[1] == gauss_graded(lambda y: np.abs(y - 1.0 / 3.0), edges, tol=1e-12,
+                                    max_rounds=40)
+
+
+def test_gauss_graded_stalled_batch_reports_the_first_failed_integral():
+    # integral 0 certifies in the first round, integral 1 (a step inside a
+    # cell) never does: the batch raises the error integral 1 raises alone
+    def fn(y, owner):
         return np.where(owner == 0, y * y, np.where(y < 1.0 / 3.0, 0.0, 1.0))
 
     with pytest.raises(QuadratureError, match="stalled at") as info:
         gauss_graded(fn, [np.array([0.0, 1.0]), np.array([0.0, 1.0])], tol=1e-12)
-    assert sum(seen[0]) == 15 + 23
-    assert sum(seen[1]) == (15 + 23) * (1 + 2 + 4)
     with pytest.raises(QuadratureError) as alone:
         gauss_graded(lambda y: np.where(y < 1.0 / 3.0, 0.0, 1.0), [0.0, 1.0], tol=1e-12)
     assert str(info.value) == str(alone.value)
+
+
+def test_gauss_graded_complex_integrand():
+    # int_0^1 ds / (s - w) = log(1 - w) - log(-w) with w 1e-4 above the
+    # interval: a near pole, as on an interior path that ends close to the
+    # real line; Im(s - w) < 0 throughout, so the principal logs apply
+    w = 1.0 / 3.0 + 1e-4j
+    exact = cmath.log(1.0 - w) - cmath.log(-w)
+    calls = []
+
+    def fn(s):
+        calls.append(s.size)
+        return 1.0 / (s - w)
+
+    got = gauss_graded(fn, [0.0, 1.0], tol=1e-12, max_rounds=40)
+    assert isinstance(got, complex)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+    # after [0, 1] each round halves the one cell next to the pole
+    assert len(calls) > 2 and calls[2:] == [2 * 15, 2 * 23] * (len(calls) // 2 - 1)
 
 
 # -- flattened endpoint rule -------------------------------------------------
@@ -209,49 +248,3 @@ def test_split_plan_adds_coincident_exponents():
     plan = split_plan(0.0, 2.0, [1.0, 1.0, 0.0], [0.125, 0.25, 0.0625])
     assert plan == [(0.0, 0.5, 0.0625, "a"), (0.5, 1.0, 0.375, "b"),
                     (1.0, 2.0, 0.375, "a")]
-
-
-# -- adaptive Gauss-Kronrod for complex line integrals -----------------------
-
-
-def test_quad_complex_hands_fn_the_15_kronrod_nodes():
-    calls = []
-
-    def fn(s):
-        calls.append(s)
-        return np.exp(2j * s)
-
-    quad_complex(fn, 0.0, 1.0, tol=1e-12)
-    assert all(isinstance(s, np.ndarray) and s.shape == (15,) for s in calls)
-    # the first call covers [0, 1]: its nodes are mid + half * t, node by node
-    assert calls[0].tolist() == [0.5 + 0.5 * t for t in _XK]
-
-
-def test_quad_complex_matches_per_node_evaluation():
-    # an analytic complex integrand, once vectorized and once node by node
-    def scalar(s):
-        return cmath.exp(3j * s) * (1.0 / (1.0 + s * s))
-
-    def vectorized(s):
-        return np.exp(3j * s) * (1.0 / (1.0 + s * s))
-
-    val, err = quad_complex(vectorized, -1.0, 2.0, tol=1e-13)
-    ref = quad_complex(lambda s: np.array([scalar(float(x)) for x in s]),
-                       -1.0, 2.0, tol=1e-13)
-    assert (val, err) == ref
-    assert err <= 1e-13
-
-
-def test_quad_complex_raises_past_400_splits():
-    # a step inside [0, 1] and a tolerance below rounding: the error estimate
-    # never reaches it
-    calls = []
-
-    def fn(s):
-        calls.append(s.size)
-        return np.where(s < 1.0 / 3.0, 0.0, 1.0j)
-
-    with pytest.raises(QuadratureError, match="stalled at error"):
-        quad_complex(fn, 0.0, 1.0, tol=1e-20)
-    # one batch for [0, 1], then two per split
-    assert calls == [15] * (1 + 2 * 400)
