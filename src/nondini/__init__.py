@@ -62,11 +62,7 @@ from .profile import (
     build_bridge,
     build_profile,
 )
-from .quadrature import (
-    QuadratureError,
-    gauss_cells,
-    integrate_power_endpoint,
-)
+from .quadrature import QuadratureError, split_integrals
 
 __all__ = [
     "BASE_POINT",
@@ -101,10 +97,8 @@ __all__ = [
     "classify_dini",
     "decay_bounds",
     "density_at",
-    "gauss_cells",
     "growth_check",
     "integrate_phi",
-    "integrate_power_endpoint",
     "is_interior",
     "measure_ratio",
     "pole_comparison",
@@ -116,6 +110,7 @@ __all__ = [
     "segment_margin",
     "select_x0",
     "singular_set_scan",
+    "split_integrals",
     "trace_boundary",
     "wos_harmonic_measure",
 ]

@@ -15,8 +15,9 @@ Configuration is one JSON document whose keys are the fields of RunConfig and
 of its sections (see DEFAULT_CONFIG); unknown keys, wrong types and non-finite
 numbers are rejected so misspelled settings fail loudly instead of silently
 defaulting. No key sets a quadrature tolerance: each layer certifies its own
-(1e-10 for HilbertEvaluator, 3e-12 for HarmonicEvaluator, conformal.PHI_TOL
-for the interior paths of Phi).
+(hilbert.REGION_TOL = 1e-10 for the K Htilde region formulas,
+halfplane.HERGLOTZ_TOL = 3e-12 for A(z), conformal.PHI_TOL = 1e-9 for the
+interior paths of Phi).
 All CSV output uses 17 significant digits and every run is deterministic
 given the config and seed.
 """
@@ -43,7 +44,7 @@ from .conformal import (
     trace_boundary,
 )
 from .halfplane import HarmonicEvaluator
-from .hilbert import HilbertEvaluator, pv_quadrature_oracle, region_bracket
+from .hilbert import REGION_TOL, HilbertEvaluator, pv_quadrature_oracle, region_bracket
 from .measure import (
     MCConfig,
     appendix_product_integral,
@@ -263,7 +264,7 @@ def _checks_hilbert(cfg: RunConfig, harm: HarmonicEvaluator):
             viol = max(viol, lo - PI * v)
             if math.isfinite(hi):
                 viol = max(viol, PI * v - hi)
-        yield ("hilbert/region-bracket", max(viol, 0.0), 10.0 * ev.quad_tol)
+        yield ("hilbert/region-bracket", max(viol, 0.0), 10.0 * REGION_TOL)
 
 
 def _checks_halfplane(cfg: RunConfig, harm: HarmonicEvaluator):

@@ -39,7 +39,7 @@ of each cell, and the Laurent moments of both orders about the centre c of
   grading of the oracle below) and integrated by the certified graded rule,
   with f from f_vec, to the rest of the tolerance.
 
-So every value carries a 15/23 certificate at quad_tol: per cell outside the
+So every value carries a 15/23 certificate at HERGLOTZ_TOL: per cell outside the
 run, the graded rule's inside it, plus the series bound in the far field. A
 run the graded rule cannot certify raises QuadratureError with its measured
 error. The run is one rule rather than one per cell because cells a few t
@@ -75,6 +75,8 @@ __all__ = [
 ]
 
 PI = math.pi
+# tolerance of every A(z) value
+HERGLOTZ_TOL = 3e-12
 # the certified pair of Gauss orders, and the Laurent terms of the far field:
 # at rho <= 1/2 the truncation bound is under 2^-60 sum|f w| / |z - c|
 _ORDERS = (15, 23)
@@ -249,7 +251,6 @@ class HarmonicEvaluator:
     """
 
     ev: HilbertEvaluator
-    quad_tol: float = 3e-12
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -287,7 +288,7 @@ class HarmonicEvaluator:
         integral = np.empty(flat.shape, dtype=complex)
         for js in sorted(set(scales.tolist()), key=lambda s: s not in self._memo):
             sel = np.flatnonzero(scales == js)
-            integral[sel] = self._node_memo(js).integral(p, flat[sel], self.quad_tol)
+            integral[sel] = self._node_memo(js).integral(p, flat[sel], HERGLOTZ_TOL)
         tail = -p.c_prime * np.log(1.0 - flat / Y)
         return ((integral + tail) / PI).reshape(zs.shape)
 

@@ -44,7 +44,7 @@ from .modulus import SmoothedModulus
 from .profile import BridgeSpline, TangentProfile, MODE_C1, MODE_LIPSCHITZ
 from .quadrature import (
     QuadratureError,
-    gauss_cells,
+    gauss_cell_values,
     gauss_graded,
     graded_edges,
     merge_edges,
@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 PI = math.pi
+# tolerance of the direct K Htilde region formulas
+REGION_TOL = 1e-10
 # elements of the (jumps x points) matrix of shifted arguments that kf_vec
 # hands to one k_htilde_vec call
 _KF_CHUNK = 8192
@@ -94,7 +96,6 @@ class HilbertEvaluator:
     """
 
     profile: TangentProfile
-    quad_tol: float = 1e-10
 
     _memo: dict = field(default_factory=dict, repr=False)
     _g_memo: dict = field(default_factory=dict, repr=False)
@@ -135,10 +136,10 @@ class HilbertEvaluator:
         over on scale x - x0 near y = x0. In the principal value the integrand
         extends continuously by -theta_tilde'(x) at y = x; on a window
         |y - x| < eta = 1e-6 x it is replaced by that limit (error
-        O(eta^2 * curvature), far below quad_tol), which in t is
+        O(eta^2 * curvature), far below REGION_TOL), which in t is
         -s theta_tilde'(x), finite down to the smallest double.
         """
-        x0, tol = self.bridge.x0, self.quad_tol
+        x0, tol = self.bridge.x0, REGION_TOL
         s, xt, x0t, shift, eta, slope, floor = (np.zeros(len(pts)) for _ in range(7))
         near = {}  # point -> (focus, min_scale, extra edges) of a second grading
         for i, x in enumerate(pts):
@@ -211,7 +212,7 @@ class HilbertEvaluator:
                 return q
             return np.where(np.abs(y - xo) < width[owner], -slope[owner], q)
 
-        return gauss_graded(fn, edges, tol=self.quad_tol * 0.25)
+        return gauss_graded(fn, edges, tol=REGION_TOL * 0.25)
 
     def _g_at(self, y: np.ndarray, owner: np.ndarray, pv: np.ndarray) -> np.ndarray:
         """g at the nodes y of the bridge integrals owner (pv: principal values).
@@ -429,8 +430,7 @@ def pv_quadrature_oracle(p: TangentProfile, x: float) -> float:
         return np.where(y > 1.0, 1.0 / y, 0.0)
 
     def certified(fn, edges):
-        v1 = gauss_cells(fn, edges, 21)
-        v2 = gauss_cells(fn, edges, 29)
+        v1, v2 = (gauss_cell_values(fn, edges[:-1], edges[1:], n).sum() for n in (21, 29))
         if abs(v1 - v2) > max(1e-8, 1e-8 * abs(v2)):
             raise QuadratureError(f"oracle cell quadrature disagrees: {abs(v1 - v2):.3e}")
         return v2

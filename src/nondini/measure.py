@@ -47,11 +47,10 @@ from .conformal import (
     _boundary_abs_dphi,
     _boundary_g,
     _boundary_integral,
-    _integrate_split,
-    _split_singular,
+    _jump_integrals,
     _text_sink,
 )
-from .quadrature import QuadratureError, split_plan
+from .quadrature import QuadratureError, split_integrals
 
 PI = math.pi
 # walkers per pass of the nearest-segment search (bounds the walkers x
@@ -245,8 +244,7 @@ def measure_ratio(trace: BoundaryTrace, ev, x_center: float, r: float,
     if ev is None:
         length = omega
     else:
-        length = sum(_integrate_split(_boundary_abs_dphi(ev),
-                                      _split_singular(ev.profile, x_lo, x_hi))).real
+        length = _jump_integrals(ev, _boundary_abs_dphi(ev), [x_lo], [x_hi])[0]
     return BallRatio(float(omega), float(length), float(omega / length),
                      float(x_lo), float(x_hi))
 
@@ -746,11 +744,8 @@ def appendix_product_integral(b, eps_list, jumps=None) -> AppendixReport:
                 val = val * np.abs(ys - s) ** (-v)
         return val
 
-    def window(a: float, c: float) -> float:
-        return sum(_integrate_split(g, split_plan(a, c, locs, bs), cells=8)).real
-
-    ints = [window(-e, e) for e in eps]
-    lefts = [window(-e, 0.0) for e in eps]
+    ints = split_integrals(g, [-e for e in eps], eps, locs, bs, cells=8).tolist()
+    lefts = split_integrals(g, [-e for e in eps], [0.0] * len(eps), locs, bs, cells=8).tolist()
     if len(eps) >= 2:
         slope = float(np.polyfit(np.log(eps), np.log(ints), 1)[0])
     else:

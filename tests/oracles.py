@@ -11,8 +11,12 @@ integrals) and the depth-first table build on top of them
 (`build_table_sequential`) are the form the batched direct path and the
 breadth-first `KHtildeTable.build` must match bit for bit. Likewise the
 boundary rule one piece at a time (`integrate_split_total`) and the trace's
-own per-cell dispatch (`trace_per_cell`) are what the piece values of
-`conformal._integrate_split`, and the trace built on them, must match.
+own per-cell dispatch (`trace_per_cell`) are what `quadrature.split_integrals`,
+and the trace built on it, must match. The rule one piece at a time is the
+one the library ran before it batched: `split_plan`, the singular-split
+planner, cuts an interval into pieces with at most one singular end; a
+regular piece is `gauss_cells`, Gauss cells summed over an edge list; a
+singular piece is `integrate_power_endpoint`, the flattened rule.
 The principal value by excision and Richardson extrapolation
 (`pv_richardson_oracle`) checks the library's folded PV oracle.
 """
@@ -29,6 +33,7 @@ from nondini.conformal import (
     _trace_grid,
     integrate_phi,
 )
+from nondini import halfplane, hilbert
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
 from nondini.hilbert import DEEP, FAR, MID, KHtildeTable, _rise_scale
 from nondini.measure import _phi_from
@@ -36,10 +41,8 @@ from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import (
     QuadratureError,
     gauss_cell_values,
-    gauss_cells,
     gauss_graded,
     graded_edges,
-    integrate_power_endpoint,
     merge_edges,
 )
 
@@ -109,14 +112,84 @@ def bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,
     return 0.5 * (a + b)
 
 
-def integrate_split_total(fn, plan, cells: int = 4) -> complex:
+def gauss_cells(fn, edges, n: int = 15):
+    """The n-point Gauss values of the cells of an increasing edge list, summed."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.size < 2:
+        return 0.0
+    return gauss_cell_values(fn, edges[:-1], edges[1:], n).sum()
+
+
+def integrate_power_endpoint(fn, a, b, p, side: str):
+    """Integrate fn over [a, b] with an |x-endpoint|^(-p) singularity, p < 1.
+
+    Substituting x = endpoint +/- sigma^(1/(1-p)) turns the integrand into a
+    bounded one:  dx = (1/(1-p)) sigma^(p/(1-p)) d sigma, and the product
+    fn * dx/dsigma stays O(1) near sigma = 0. The sigma integral is then done
+    on 15-point Gauss cells graded toward 0.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("power exponent must lie in [0, 1)")
+    if side not in ("a", "b"):
+        raise ValueError("side must be 'a' or 'b'")
+    q = 1.0 / (1.0 - p)
+    smax = (b - a) ** (1.0 - p)
+    end, sign = (a, 1.0) if side == "a" else (b, -1.0)
+
+    # nodes whose image rounds onto an endpoint are zeroed (fn is never
+    # called there)
+    def g(sig):
+        x = np.asarray(end + sign * sig ** q)
+        col = ~((x > a) & (x < b))
+        vals = np.asarray(fn(np.where(col, 0.5 * (a + b), x)))
+        return np.where(col, 0.0, vals * (q * sig ** (q - 1.0)))
+
+    return gauss_cells(g, graded_edges(0.0, smax, 0.0, smax * 1e-12), 15)
+
+
+def split_plan(a: float, b: float, locs, exps):
+    """Partition [a, b] into pieces with at most one singular end each.
+
+    exps[k] is the exponent p of an |y - locs[k]|^(-p) singularity; exponents
+    at coincident locations add. The cuts are the locations inside (a, b), and
+    a piece singular at both ends splits at its midpoint. Returns
+    (lo, hi, exponent, side) tuples: exponent is None on pieces with no
+    singular end, otherwise the singular end is lo (side "a") or hi (side "b").
+    """
+    sing: dict = {}
+    for s, p in zip(locs, exps):
+        s = float(s)
+        if a <= s <= b:
+            sing[s] = sing.get(s, 0.0) + p
+    cuts = [a] + sorted(s for s in sing if a < s < b) + [b]
+    plan = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        p_lo, p_hi = sing.get(lo), sing.get(hi)
+        if p_lo is not None and p_hi is not None:
+            mid = 0.5 * (lo + hi)
+            plan += [(lo, mid, p_lo, "a"), (mid, hi, p_hi, "b")]
+        elif p_lo is not None:
+            plan.append((lo, hi, p_lo, "a"))
+        elif p_hi is not None:
+            plan.append((lo, hi, p_hi, "b"))
+        else:
+            plan.append((lo, hi, None, ""))
+    return plan
+
+
+def integrate_split_total(fn, plan, cells: int = 4, locs=()) -> complex:
     """The boundary rule over a split_plan, one piece at a time: `cells`
-    23-point Gauss cells per regular piece, the flattened rule per singular
-    piece, accumulated left to right."""
+    23-point Gauss cells per regular piece, merged with cells graded toward
+    the nearest of `locs` when that is closer to the piece than the piece is
+    long, the flattened rule per singular piece, accumulated left to right."""
     total = 0.0 + 0.0j
     for lo, hi, pexp, side in plan:
         if pexp is None:
-            total += complex(gauss_cells(fn, np.linspace(lo, hi, cells + 1), 23))
+            edges = np.linspace(lo, hi, cells + 1)
+            near = min(((max(lo - s, s - hi), s) for s in locs), default=None)
+            if near is not None and near[0] < hi - lo:
+                edges = merge_edges(edges, graded_edges(lo, hi, near[1], near[0]))
+            total += complex(gauss_cells(fn, edges, 23))
         else:
             total += complex(integrate_power_endpoint(fn, lo, hi, pexp, side=side))
     return total
@@ -200,7 +273,7 @@ def k_htilde_per_piece(table, u):
 def herglotz_transform(harm: HarmonicEvaluator, x: float, t: float) -> complex:
     """A(z) = (1/pi) int f(y) [1/(y-z) - chi_{|y|>1}/y] dy for z = x + it.
 
-    Certified to harm.quad_tol; f is read from harm's node memo wherever a
+    Certified to HERGLOTZ_TOL; f is read from harm's node memo wherever a
     Gauss node is one of the memo's, and evaluated at the other nodes.
     """
     p = harm.profile
@@ -222,7 +295,7 @@ def herglotz_transform(harm: HarmonicEvaluator, x: float, t: float) -> complex:
 
     edges = merge_edges(
         graded_edges(y_min, Y, x, max(t * 1e-2, span * 1e-14)), memo.edges)
-    integral = gauss_graded(fn, edges, tol=harm.quad_tol)
+    integral = gauss_graded(fn, edges, tol=halfplane.HERGLOTZ_TOL)
     tail = -p.c_prime * cmath.log(1.0 - z / Y)
     return (integral + tail) / PI
 
@@ -422,13 +495,13 @@ def int_rise(ev, x: float, shift: float) -> float:
     xt, x0t = x / s, ev.bridge.x0 / s
     # the first cell [0, min_scale] carries integrand magnitude ~ ht/|x|,
     # so the grading floor must shrink with |x|
-    edges = graded_edges(0.0, x0t, 0.0, min_scale=min(abs(xt), x0t) * ev.quad_tol)
+    edges = graded_edges(0.0, x0t, 0.0, min_scale=min(abs(xt), x0t) * hilbert.REGION_TOL)
     if shift != 0.0 and xt > x0t:
         # region (x0, x_star): the quotient turns over on scale x - x0 near y = x0
         near = graded_edges(0.0, x0t, x0t, min_scale=max(xt - x0t, x0t * 1e-12))
         edges = merge_edges(edges, near)
     fn = lambda t: (ev.sm.scaled_value_vec(t, s) - shift) / (xt - t)
-    return gauss_graded(fn, edges, tol=ev.quad_tol * 0.25)
+    return gauss_graded(fn, edges, tol=hilbert.REGION_TOL * 0.25)
 
 
 def int_rise_pv(ev, x: float) -> float:
@@ -436,7 +509,7 @@ def int_rise_pv(ev, x: float) -> float:
 
     The integrand extends continuously by -theta_tilde'(x) at y = x; on a
     window |y - x| < eta it is replaced by that difference-quotient limit
-    (error O(eta^2 * curvature), far below quad_tol for eta = 1e-6 x).
+    (error O(eta^2 * curvature), far below REGION_TOL for eta = 1e-6 x).
     Integrated in t = y/s (see _rise_scale), where the limit is
     -s theta_tilde'(x), finite down to the smallest double.
     """
@@ -454,16 +527,16 @@ def int_rise_pv(ev, x: float) -> float:
         out[~near] = (ev.sm.scaled_value_vec(tt, s) - hx) / (xt - tt)
         return out
 
-    e1 = graded_edges(0.0, x0t, 0.0, min_scale=xt * ev.quad_tol)
+    e1 = graded_edges(0.0, x0t, 0.0, min_scale=xt * hilbert.REGION_TOL)
     e2 = graded_edges(0.0, x0t, xt, min_scale=eta)
     return gauss_graded(fn, merge_edges(e1, e2, [xt] if 0 < xt < x0t else []),
-                        tol=ev.quad_tol * 0.25)
+                        tol=hilbert.REGION_TOL * 0.25)
 
 
 def int_bridge(ev, x: float, shift: float, focus: float) -> float:
     """int_{x0}^{x_star} (g(y) - shift) / (x - y) dy, x outside (x0, x_star)."""
     fn = lambda y: (ev.bridge.value_vec(y) - shift) / (x - y)
-    return gauss_graded(fn, ev._bridge_grids[focus], tol=ev.quad_tol * 0.25)
+    return gauss_graded(fn, ev._bridge_grids[focus], tol=hilbert.REGION_TOL * 0.25)
 
 
 def int_bridge_pv(ev, x: float) -> float:
@@ -482,7 +555,7 @@ def int_bridge_pv(ev, x: float) -> float:
         return out
 
     edges = ev._bridge_edges(x0, xs, x, eta)
-    return gauss_graded(fn, edges, tol=ev.quad_tol * 0.25)
+    return gauss_graded(fn, edges, tol=hilbert.REGION_TOL * 0.25)
 
 
 def pi_k_htilde(ev, x: float) -> float:

@@ -33,6 +33,7 @@ from nondini.conformal import (
 )
 from nondini.halfplane import HarmonicEvaluator
 from nondini.hilbert import (
+    REGION_TOL,
     HilbertEvaluator,
     pv_quadrature_oracle,
     region_bracket,
@@ -129,7 +130,7 @@ def test_criterion_03_region_bounds(ev_c1):
     xs = np.concatenate([rng.uniform(-2.0, 3.0, 300),
                          np.geomspace(1e-9, x0 * 0.999, 100),
                          -np.geomspace(1e-9, 1.9, 100)])
-    slack = 10.0 * ev_c1.quad_tol
+    slack = 10.0 * REGION_TOL
     worst = -math.inf
     violations = 0
     for x, k in zip(xs.tolist(), ev_c1.k_htilde_direct(xs).tolist()):

@@ -43,10 +43,15 @@ REMOVED = (
     # one-point aliases of the batch calls k_htilde_direct and g_exponent_vec
     "k_htilde", "g_exponent",
     # the second boundary G and the trace's own singular planner: boundary G
-    # is conformal._boundary_g, and split_plan is the only planner
+    # is conformal._boundary_g
     "boundary_G", "_singular_exponent",
     # the second adaptive rule: interior segments run through gauss_graded
     "quad_complex",
+    # the planner, the per-piece rule and their per-caller plumbing:
+    # quadrature.split_integrals plans, flattens and batches inside, and the
+    # per-piece forms are test oracles
+    "split_plan", "integrate_power_endpoint", "gauss_cells", "_integrate_split",
+    "_split_singular", "_regular_ends",
 )
 
 
@@ -82,7 +87,7 @@ def test_removed_settings_stay_removed():
     from nondini.measure import _nearest_on_segments
     from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
-    from nondini.quadrature import gauss_graded, integrate_power_endpoint
+    from nondini.quadrature import gauss_graded, split_integrals
 
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -108,7 +113,10 @@ def test_removed_settings_stay_removed():
     assert "use_table" not in (params(HilbertEvaluator.kf_vec)
                                | params(HilbertEvaluator.k_htilde_vec))
     assert "points" not in params(oracles.quad_scalar)
-    assert not {"tol", "n"} & params(integrate_power_endpoint)
+    assert not {"tol", "n"} & params(split_integrals)
+    # the evaluators' tolerances are the constants hilbert.REGION_TOL and
+    # halfplane.HERGLOTZ_TOL
+    assert "quad_tol" not in fields(HilbertEvaluator) | fields(HarmonicEvaluator)
     # settings no caller changed are constants now
     assert params(KHtildeTable.build) == {"ev"}
     # the table is one stacked lookup that never calls back into the evaluator

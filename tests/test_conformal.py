@@ -9,7 +9,7 @@ from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
 from nondini import conformal
 from nondini.hilbert import HilbertEvaluator
-from nondini.quadrature import integrate_power_endpoint, split_plan
+from nondini.quadrature import gauss_graded, graded_edges, split_integrals
 from nondini.conformal import (
     BASE_POINT,
     BoundaryTrace,
@@ -23,7 +23,13 @@ from nondini.conformal import (
     trace_boundary,
 )
 
-from oracles import integrate_split_total, quad_scalar, trace_per_cell
+from oracles import (
+    integrate_power_endpoint,
+    integrate_split_total,
+    quad_scalar,
+    split_plan,
+    trace_per_cell,
+)
 
 PI = math.pi
 
@@ -307,9 +313,9 @@ def test_trace_flattens_both_ends_of_a_cell(rule, old_err):
         j = int(np.searchsorted(tr.x, a))
         assert (tr.x[j], tr.x[j + 1]) == (a, b) and tr.is_singular[j:j + 2].all()
         ref = _lipschitz_integral_mp(p, a, b)
-        plan = conformal._split_singular(p, a, b)
+        plan = split_plan(a, b, p.x, [p.c * ak / PI for ak in p.a])
         assert [piece[3] for piece in plan] == ["a", "b"]
-        split_val = sum(conformal._integrate_split(gfn, plan, cells=1))
+        split_val = conformal._jump_integrals(ev, gfn, [a], [b], cells=1)[0]
         assert abs(split_val - ref) <= 1e-15 * abs(ref)
         # flattening the left end only, as the trace once did
         left_only = integrate_power_endpoint(gfn, a, b, plan[0][2], side="a")
@@ -321,7 +327,8 @@ def test_trace_flattens_both_ends_of_a_cell(rule, old_err):
 
 def test_integrate_split_sums_like_the_per_piece_rule():
     # the appendix windows with dyadic placement: 8 and more pieces, summed
-    # left to right, equal the one-piece-at-a-time total bit for bit
+    # left to right, equal the one-piece-at-a-time total bit for bit, alone
+    # and in one batch of all the windows
     bs = [0.05] * 8
     locs = [2.0 ** -(k + 1) for k in range(len(bs))]
 
@@ -331,15 +338,34 @@ def test_integrate_split_sums_like_the_per_piece_rule():
             val = val * np.abs(ys - s) ** (-v)
         return val
 
-    counts = []
-    for e in (1.0, 0.5, 0.3, 2.0 ** -4):
-        for a, c in ((-e, e), (-e, 0.0)):
-            plan = split_plan(a, c, locs, bs)
-            counts.append(len(plan))
-            vals = conformal._integrate_split(g, plan, cells=8)
-            assert len(vals) == len(plan)
-            assert sum(vals) == integrate_split_total(g, plan, cells=8)
+    counts, totals = [], []
+    windows = [(a, c) for e in (1.0, 0.5, 0.3, 2.0 ** -4) for a, c in ((-e, e), (-e, 0.0))]
+    for a, c in windows:
+        plan = split_plan(a, c, locs, bs)
+        counts.append(len(plan))
+        totals.append(integrate_split_total(g, plan, cells=8, locs=locs))
+        assert split_integrals(g, [a], [c], locs, bs, cells=8)[0] == totals[-1]
     assert max(counts) >= 8
+    lo, hi = zip(*windows)
+    assert split_integrals(g, lo, hi, locs, bs, cells=8).tolist() == totals
+
+
+@pytest.mark.parametrize("mode", ["lip", "c1"])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_boundary_integral_next_to_a_jump(request, mode, side):
+    # a regular piece 1e-9 from x_1 and 1e-3 long is graded toward x_1; with
+    # equal cells alone it was off by 1.0e-4 (lip) and 1.6e-6 (c1) relative
+    ev = request.getfixturevalue("ev_" + mode)
+    p = ev.profile
+    x1 = p.x[0]
+    a, b = sorted((x1 + side * 1e-9, x1 + side * 1e-3))
+    val = conformal._boundary_integral(ev, a, b)
+    if mode == "lip":
+        ref = _lipschitz_integral_mp(p, a, b)
+    else:
+        ref = gauss_graded(conformal._boundary_g(ev), graded_edges(a, b, x1, 1e-10),
+                           tol=1e-15, max_rounds=20)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 # -- injectivity ---------------------------------------------------------------

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
+from nondini import hilbert
 from nondini.hilbert import (
     MID,
+    REGION_TOL,
     HilbertEvaluator,
     KHtildeTable,
     K_heaviside,
@@ -180,7 +182,7 @@ def test_k_htilde_sentinel_and_regions(ev_c1):
 
 def test_k_htilde_side_limits(ev_c1):
     x0, xs = ev_c1.bridge.x0, ev_c1.bridge.x_star
-    tol = 10.0 * ev_c1.quad_tol
+    tol = 10.0 * REGION_TOL
     for knot in (x0, xs):
         h = 1e-12 * knot
         left, mid, right = ev_c1.k_htilde_direct(np.array([knot - h, knot, knot + h]))
@@ -474,17 +476,18 @@ def test_direct_batch_is_the_per_point_oracle_hypothesis(ev_c1, draws):
     assert np.array_equal(batch, [pi_k_htilde(ev_c1, float(u)) / PI for u in us])
 
 
-def test_direct_batch_stall_raises_the_oracle_error(ev_c1):
-    # at quad_tol 1e-18 these points still certify and 0.2 does not (its
-    # error stalls at the rounding floor): the batch raises with the measured
-    # error the oracle gives for that point
-    strict = HilbertEvaluator(ev_c1.profile, quad_tol=1e-18)
+def test_direct_batch_stall_raises_the_oracle_error(ev_c1, monkeypatch):
+    # at a region tolerance of 1e-18 these points still certify and 0.2 does
+    # not (its error stalls at the rounding floor): the batch raises with the
+    # measured error the oracle gives for that point
+    monkeypatch.setattr(hilbert, "REGION_TOL", 1e-18)
+    strict = HilbertEvaluator(ev_c1.profile)
     good = [-3.0, -0.5, 0.3, 2.0]
     assert all(math.isfinite(pi_k_htilde(strict, x)) for x in good)
     with pytest.raises(QuadratureError, match="stalled at") as oracle:
         pi_k_htilde(strict, 0.2)
     with pytest.raises(QuadratureError) as batch:
-        HilbertEvaluator(ev_c1.profile, quad_tol=1e-18).k_htilde_direct(
+        HilbertEvaluator(ev_c1.profile).k_htilde_direct(
             np.array(good[:2] + [0.2] + good[2:]))
     assert str(batch.value) == str(oracle.value)
 

@@ -226,14 +226,14 @@ def test_crossings_match_bisection_oracle(case, request, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["c1", "lip"])
 def test_ratio_boundary_integral_count(mode, request, monkeypatch):
-    # every Phi increment (_boundary_integral) and the arc length run through
-    # _integrate_split; the scan computes each center's image once, which
+    # every Phi increment (_boundary_integral) and the arc length is one
+    # split_integrals call; the scan computes each center's image once, which
     # takes one integral at 0.7 and none at the trace samples 0.5 and 0.25
     trace = request.getfixturevalue("trace_" + mode)
     ev = request.getfixturevalue("ev_" + mode)
     quads = [0]
     per_ratio = []
-    split = measure._integrate_split
+    split = conformal.split_integrals
     ratio = measure.measure_ratio
 
     def counted_split(*args, **kw):
@@ -246,8 +246,7 @@ def test_ratio_boundary_integral_count(mode, request, monkeypatch):
         per_ratio.append(quads[0] - before)
         return out
 
-    monkeypatch.setattr(measure, "_integrate_split", counted_split)
-    monkeypatch.setattr(conformal, "_integrate_split", counted_split)
+    monkeypatch.setattr(conformal, "split_integrals", counted_split)
     monkeypatch.setattr(measure, "measure_ratio", counted_ratio)
     images = []
     image = measure._phi_on_boundary

@@ -1,5 +1,6 @@
-"""The shared quadrature layer: Gauss-cell rule, certified graded rule,
-flattened endpoint rule, and the singular-split planner."""
+"""The shared quadrature layer: Gauss-cell rule, certified graded rule, and
+split_integrals, the one real-line rule across power singularities, against
+the per-piece rule and planner it batched (in tests/oracles.py)."""
 
 import cmath
 import re
@@ -10,16 +11,16 @@ import pytest
 from nondini.quadrature import (
     QuadratureError,
     gauss_cell_values,
-    gauss_cells,
     gauss_graded,
     gauss_nodes,
     gauss_rule,
     graded_edges,
-    integrate_power_endpoint,
     merge_edges,
-    split_plan,
+    split_integrals,
 )
 from nondini.quadrature import _CHUNK
+
+from oracles import gauss_cells, integrate_power_endpoint, integrate_split_total, split_plan
 
 
 # -- Gauss-cell rule ---------------------------------------------------------
@@ -199,23 +200,27 @@ def test_gauss_graded_complex_integrand():
     assert len(calls) > 2 and calls[2:] == [2 * 15, 2 * 23] * (len(calls) // 2 - 1)
 
 
-# -- flattened endpoint rule -------------------------------------------------
+# -- split_integrals against the per-piece rule ------------------------------
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.45])
 def test_integrate_power_endpoint_exact(p):
-    # the substitution makes the integrand constant: exact to rounding
-    val = integrate_power_endpoint(lambda y: y ** -p, 0.0, 1.0, p, side="a")
+    # the substitution makes the integrand constant: exact to rounding, and
+    # split_integrals flattens the piece with the per-piece rule's bits
+    fn = lambda y: y ** -p
+    val = integrate_power_endpoint(fn, 0.0, 1.0, p, side="a")
     assert val == pytest.approx(1.0 / (1.0 - p), rel=1e-14)
+    assert split_integrals(fn, [0.0], [1.0], [0.0], [p])[0] == val
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.45])
 def test_integrate_power_endpoint_right_end(p):
     # nodes with 1 - sigma^q rounding to 1 are zeroed; for p = 0.45 they
     # cover sigma < 1e-16^(1-p), about 1e-9 of the range
-    val = integrate_power_endpoint(lambda y: (1.0 - y) ** -p, 0.0, 1.0, p,
-                                   side="b")
+    fn = lambda y: (1.0 - y) ** -p
+    val = integrate_power_endpoint(fn, 0.0, 1.0, p, side="b")
     assert val == pytest.approx(1.0 / (1.0 - p), rel=1e-8)
+    assert split_integrals(fn, [0.0], [1.0], [1.0], [p])[0] == val
 
 
 def test_integrate_power_endpoint_validation():
@@ -225,26 +230,80 @@ def test_integrate_power_endpoint_validation():
         integrate_power_endpoint(np.exp, 0.0, 1.0, 0.2, side="c")
 
 
-# -- singular-split planner --------------------------------------------------
+def test_split_integrals_validation():
+    with pytest.raises(ValueError, match="exponent"):
+        split_integrals(np.exp, [0.0], [1.0], [0.5], [1.0])
+    with pytest.raises(ValueError, match="exponent"):
+        split_integrals(np.exp, [0.0], [1.0], [0.5], [-0.1])
+    # exponents at one location add
+    with pytest.raises(ValueError, match="exponent"):
+        split_integrals(np.exp, [0.0], [1.0], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="lo < hi"):
+        split_integrals(np.exp, [0.0, 1.0], [1.0, 1.0], [0.5], [0.2])
+    with pytest.raises(ValueError, match="lo < hi"):
+        split_integrals(np.exp, [1.0], [0.0], [0.5], [0.2])
+    with pytest.raises(ValueError, match="one hi per lo"):
+        split_integrals(np.exp, [0.0, 1.0], [2.0], [0.5], [0.2])
+
+
+def _product(locs, exps):
+    def fn(y):
+        val = np.exp(1j * y)
+        for s, p in zip(locs, exps):
+            val = val * np.abs(y - s) ** -p
+        return val
+    return fn
+
+
+def _assert_planned(a, b, locs, exps, plan):
+    """The oracle plans [a, b] as `plan`, and split_integrals has the bits of
+    the per-piece rule over it."""
+    assert split_plan(a, b, locs, exps) == plan
+    fn = _product(locs, exps)
+    assert split_integrals(fn, [a], [b], locs, exps)[0] == integrate_split_total(fn, plan, locs=locs)
 
 
 def test_split_plan_no_singularity():
-    assert split_plan(0.0, 1.0, [2.0], [0.1]) == [(0.0, 1.0, None, "")]
+    _assert_planned(0.0, 1.0, [2.0], [0.1], [(0.0, 1.0, None, "")])
 
 
 def test_split_plan_cuts_at_interior_locations():
-    plan = split_plan(-1.0, 1.0, [0.5, -0.5, 3.0], [0.2, 0.1, 0.3])
-    assert plan == [(-1.0, -0.5, 0.1, "b"),
-                    (-0.5, 0.0, 0.1, "a"), (0.0, 0.5, 0.2, "b"),
-                    (0.5, 1.0, 0.2, "a")]
+    _assert_planned(-1.0, 1.0, [0.5, -0.5, 3.0], [0.2, 0.1, 0.3],
+                    [(-1.0, -0.5, 0.1, "b"),
+                     (-0.5, 0.0, 0.1, "a"), (0.0, 0.5, 0.2, "b"),
+                     (0.5, 1.0, 0.2, "a")])
 
 
 def test_split_plan_both_ends_singular_splits_at_midpoint():
-    plan = split_plan(0.0, 1.0, [0.0, 1.0], [0.1, 0.2])
-    assert plan == [(0.0, 0.5, 0.1, "a"), (0.5, 1.0, 0.2, "b")]
+    _assert_planned(0.0, 1.0, [0.0, 1.0], [0.1, 0.2],
+                    [(0.0, 0.5, 0.1, "a"), (0.5, 1.0, 0.2, "b")])
 
 
 def test_split_plan_adds_coincident_exponents():
-    plan = split_plan(0.0, 2.0, [1.0, 1.0, 0.0], [0.125, 0.25, 0.0625])
-    assert plan == [(0.0, 0.5, 0.0625, "a"), (0.5, 1.0, 0.375, "b"),
-                    (1.0, 2.0, 0.375, "a")]
+    _assert_planned(0.0, 2.0, [1.0, 1.0, 0.0], [0.125, 0.25, 0.0625],
+                    [(0.0, 0.5, 0.0625, "a"), (0.5, 1.0, 0.375, "b"),
+                     (1.0, 2.0, 0.375, "a")])
+
+
+def test_split_integrals_batch_of_flattened_pieces_is_each_alone():
+    # every interval starts at a location, so every piece is flattened; the
+    # pieces of all 40 share integrand calls of at most _CHUNK nodes, and
+    # each interval keeps the bits of its own call and of the per-piece rule
+    locs, exps = [0.0, 0.3, 0.7, 1.0], [0.2, 0.45, 0.1, 0.3]
+    fn = _product(locs, exps)
+    rng = np.random.default_rng(11)
+    lo = np.sort(rng.choice(locs, 40))
+    hi = lo + rng.uniform(0.05, 1.5, 40)
+    sizes = []
+
+    def counted(y):
+        sizes.append(y.size)
+        return fn(y)
+
+    batch = split_integrals(counted, lo, hi, locs, exps)
+    assert max(sizes) <= _CHUNK and len(sizes) < 40
+    for a, b, v in zip(lo.tolist(), hi.tolist(), batch):
+        plan = split_plan(a, b, locs, exps)
+        assert all(pexp is not None for _, _, pexp, _ in plan)
+        assert v == split_integrals(fn, [a], [b], locs, exps)[0]
+        assert v == integrate_split_total(fn, plan, locs=locs)
