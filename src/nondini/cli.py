@@ -273,8 +273,8 @@ def _checks_halfplane(cfg: RunConfig, harm: HarmonicEvaluator):
     a = harm.g_exponent_vec(xs + 1j * 1e-4)
     yield ("halfplane/boundary-limit-tangent-angle",
            float(np.abs(a.imag - p.f_vec(xs)).max()), 1e-2)
-    yield ("halfplane/boundary-limit-conjugate",
-           float(np.abs(-a.real - harm.ev.kf_vec(xs)).max()), 1e-2)
+    kf = np.array([harm.ev.k_profile(x)[0] for x in xs.tolist()])
+    yield ("halfplane/boundary-limit-conjugate", float(np.abs(-a.real - kf).max()), 1e-2)
 
 
 def _checks_conformal(cfg: RunConfig, harm: HarmonicEvaluator):
@@ -313,8 +313,7 @@ def _checks_measure(cfg: RunConfig, harm: HarmonicEvaluator):
     worst = 0.0
     for x in (-1.0, -0.3, 0.7, 1.7, 3.0):
         d = density_at(ev, x)
-        kf = float(ev.kf_vec(np.array([x]))[0])
-        worst = max(worst, abs(d.value * math.exp(-kf) - 1.0))
+        worst = max(worst, abs(d.value * math.exp(-ev.k_profile(x)[0]) - 1.0))
     yield ("measure/density-reciprocal-identity", worst, 1e-10)
 
     wedge = HilbertEvaluator(build_profile(

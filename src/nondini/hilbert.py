@@ -27,9 +27,14 @@ onto s = |y - x| into one regular integral, plus two outer pieces and a closed
 tail) is provided for cross-checks; it only ever touches profile values, never
 the region formulas.
 
-Conventions: Kf = -infinity on the singular set is IEEE -inf (`-math.inf` from
-the scalar paths, `-np.inf` in arrays), boundary points are floats, and every
-function that needs only Kf takes the HilbertEvaluator itself.
+Conventions: `kf_vec` is one jump sum (`TangentProfile._jump_sum`) of
+K_heaviside in Lipschitz mode and of the table in c1 mode, for the boundary
+integrals' thousands of nodes; `k_profile`, for single points, takes its
+terms from one K_heaviside or direct-formula call, so it never builds the
+table. Kf = -infinity on the singular set is IEEE -inf (`-math.inf` from the
+scalar paths, `-np.inf` in arrays), NaN raises ValueError, boundary points
+are floats, and every function that needs only Kf takes the
+HilbertEvaluator itself.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ PI = math.pi
 # tolerance of the direct K Htilde region formulas
 REGION_TOL = 1e-10
 # elements of the (jumps x points) matrix of shifted arguments that kf_vec
-# hands to one k_htilde_vec call
+# hands to one call of its kernel (K_heaviside or the table's eval_vec)
 _KF_CHUNK = 8192
 
 
@@ -77,11 +82,14 @@ def _rise_scale(x: float) -> float:
     return math.ldexp(1.0, max(min(math.frexp(x)[1], 0), -1020))
 
 
-def K_heaviside(x: float):
-    """K of the unit step at 0: (1/pi) log|x|, -inf at 0."""
-    if x == 0.0:
-        return -math.inf
-    return math.log(abs(x)) / PI
+def K_heaviside(u):
+    """K of the unit step at 0, elementwise: (1/pi) log|u|, IEEE -inf at 0;
+    NaN raises ValueError."""
+    u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise ValueError("K of NaN: the argument must be a number")
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(u)) / PI
 
 
 @dataclass
@@ -89,10 +97,10 @@ class HilbertEvaluator:
     """Piecewise-analytic evaluator of K Htilde and K f.
 
     Pure after construction. The direct formulas evaluate a batch of points
-    at once (`k_htilde_direct`) and memoize each point. The vector path uses
-    a Chebyshev table of K Htilde over every nonzero double (built lazily,
-    with its observed sup error against the direct formulas recorded; see
-    KHtildeTable).
+    at once (`k_htilde_direct`) and memoize each point; `k_profile` reads
+    them. The vector path `kf_vec` uses a Chebyshev table of K Htilde over
+    every nonzero double (built on its first call, with its observed sup
+    error against the direct formulas recorded; see KHtildeTable).
     """
 
     profile: TangentProfile
@@ -289,44 +297,26 @@ class HilbertEvaluator:
             self._table = KHtildeTable.build(self)
         return self._table
 
-    def k_htilde_vec(self, u) -> np.ndarray:
-        """Vectorized K Htilde from the table (internal hot path): IEEE -inf at
-        exact zeros, +inf at +-inf; NaN raises ValueError."""
-        u = np.asarray(u, dtype=float)
-        if self.profile.mode != MODE_C1:
-            raise ValueError("K Htilde needs a c1 profile")
-        return self.table().eval_vec(u)
-
     def kf_vec(self, xs) -> np.ndarray:
-        """K f on an array; -inf exactly at the jump set."""
-        xs = np.asarray(xs, dtype=float)
+        """K f on an array from the table in c1 mode (built on first use): IEEE
+        -inf exactly at the jump set; NaN raises ValueError."""
         p = self.profile
-        if p.mode == MODE_LIPSCHITZ:
-            out = np.zeros_like(xs)
-            for ak, xk in zip(p.a, p.x):
-                with np.errstate(divide="ignore"):
-                    out += ak * np.log(np.abs(xs - xk))
-            return p.c * out / PI
-        return p._jump_sum(self.k_htilde_vec, xs, _KF_CHUNK)
+        kernel = K_heaviside if p.mode == MODE_LIPSCHITZ else self.table().eval_vec
+        return p._jump_sum(kernel, xs, _KF_CHUNK)
 
     def k_profile(self, x: float):
-        """(K f(x), -inf at a jump; regular part without the nearest jump's term)."""
+        """(K f(x), -inf at a jump; regular part without the nearest jump's term),
+        from the direct formulas in c1 mode: it never builds the table."""
         p = self.profile
-        k_near = min(range(p.K), key=lambda k: abs(x - p.x[k]))
-        us = [x - xk for xk in p.x]
-        if p.mode == MODE_LIPSCHITZ:
-            ks = [K_heaviside(u) for u in us]
-        else:
-            ks = self.k_htilde_direct(np.array(us)).tolist()
-        terms = list(zip(p.a, ks))
-        regular = p.c * math.fsum(ak * t for i, (ak, t) in enumerate(terms)
-                                  if i != k_near and t != -math.inf)
-        if any(t == -math.inf for i, (ak, t) in enumerate(terms) if i != k_near):
-            raise AssertionError("distinct jumps cannot share a singularity")
-        if terms[k_near][1] == -math.inf:
+        us = x - np.asarray(p.x)
+        kernel = K_heaviside if p.mode == MODE_LIPSCHITZ else self.k_htilde_direct
+        ks = kernel(us).tolist()
+        k_near = int(np.argmin(np.abs(us)))
+        regular = p.c * math.fsum(ak * t for k, (ak, t) in enumerate(zip(p.a, ks))
+                                  if k != k_near)
+        if ks[k_near] == -math.inf:
             return -math.inf, regular
-        value = regular + p.c * terms[k_near][0] * terms[k_near][1]
-        return value, regular
+        return regular + p.c * p.a[k_near] * ks[k_near], regular
 
 
 def decay_bounds(ev: HilbertEvaluator, x: float) -> tuple[float, float]:

@@ -87,8 +87,7 @@ def density_at(ev, x: float) -> DensitySample:
     p = ev.profile
     if xs == 0.0 or any(xs == xk for xk in p.x):
         return DensitySample(xs, 0.0, True)
-    kf = float(ev.kf_vec(np.array([xs]))[0])
-    return DensitySample(xs, math.exp(kf), False)
+    return DensitySample(xs, math.exp(ev.k_profile(xs)[0]), False)
 
 
 # -- surface balls ---------------------------------------------------------------
@@ -430,7 +429,17 @@ def _segment_distance(zz, s, d, L2):
 
 
 def _nearest_in_blocks(z, seg_s, seg_e, centres, radii):
-    """_nearest_on_segments with the block circles of _block_circles given."""
+    """(distance, segment index, parameter t) of the closest boundary point.
+
+    Exact two-level search over _extended_segments, given the block circles
+    (centres, radii) of _block_circles: the tail rays are tested against
+    every point, and the polyline segments only in the blocks whose lower
+    bound |z - c| - R is within 1e-12 relative of the upper bound
+    u = min(ray distances, min_b |z - c| + R). The result is bitwise equal to
+    the brute force over all segments (the same floating-point expression per
+    segment, ties toward the lowest index as np.argmin), which
+    tests/oracles.py keeps as the reference.
+    """
     n = z.size
     m = seg_s.size - 2
     dist = np.empty(n)
@@ -480,20 +489,6 @@ def _nearest_in_blocks(z, seg_s, seg_e, centres, radii):
     return dist, idx, ts
 
 
-def _nearest_on_segments(z: np.ndarray, seg_s: np.ndarray, seg_e: np.ndarray):
-    """(distance, segment index, parameter t) of the closest boundary point.
-
-    Exact two-level search over _extended_segments: the tail rays are tested
-    against every point, and the polyline segments only in the blocks of
-    _block_circles whose lower bound |z - c| - R is within 1e-12 relative
-    of the upper bound u = min(ray distances, min_b |z - c| + R). The
-    result is bitwise equal to the brute force over all segments (the
-    same floating-point expression per segment, ties toward the lowest
-    index as np.argmin), which tests/oracles.py keeps as the reference.
-    """
-    return _nearest_in_blocks(z, seg_s, seg_e, *_block_circles(seg_s, seg_e))
-
-
 def _odd_crossings(seg_s: np.ndarray, seg_e: np.ndarray, z: complex) -> bool:
     """Parity of crossings of a long downward ray from z with the segments."""
     x0, y0 = z.real, z.imag
@@ -526,7 +521,7 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
     pole must lie inside that disk. The angle used by walker w at step s
     depends only on (seed, s, w), so results are independent of chunking.
     The nearest boundary point comes from the exact block-pruned search of
-    _nearest_on_segments: the tail rays are always tested, the distance,
+    _nearest_in_blocks: the tail rays are always tested, the distance,
     segment and parameter are bitwise those of testing every segment, and
     ties go to the lowest segment index.
     """

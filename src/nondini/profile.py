@@ -28,9 +28,9 @@ __all__ = [
 MODE_LIPSCHITZ = "lipschitz"
 MODE_C1 = "c1"
 # elements of the (jumps x points) matrix that f_vec and fprime_vec hand to
-# one htilde_vec / htilde_slope_vec call; 96 KB blocks keep every temporary
-# under glibc's default 128 KiB mmap threshold, which measured faster than
-# larger blocks
+# one call of their kernel (the step, htilde_vec or htilde_slope_vec); 96 KB
+# blocks keep every temporary under glibc's default 128 KiB mmap threshold,
+# which measured faster than larger blocks
 _F_CHUNK = 12288
 
 
@@ -154,9 +154,9 @@ def build_bridge(sm: SmoothedModulus) -> BridgeSpline:
 
 
 def htilde_vec(sm: SmoothedModulus, bridge: BridgeSpline, x) -> np.ndarray:
-    """Vectorized Htilde: 0 | theta_tilde | bridge | 1 by region."""
+    """Vectorized Htilde: 0 | theta_tilde | bridge | 1 by region, NaN at NaN."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    out = np.full_like(x, np.nan)
     x0, x_star = bridge.x0, bridge.x_star
     left = x <= 0.0
     rise = (x > 0.0) & (x <= x0)
@@ -255,13 +255,16 @@ class TangentProfile:
     def _jump_sum(self, fn, xs, chunk: int) -> np.ndarray:
         """c * sum_k a_k fn(xs - x_k), summed in ascending k.
 
-        fn takes a (jumps x points) matrix of shifted arguments of about
-        `chunk` elements: all jumps at once for few points, so that its fixed
-        cost is paid once rather than once per jump, and blocks of `chunk`
-        points one jump at a time for many.
+        This is the one sum over jumps: f, f' and Kf each hand it their
+        kernel. fn takes a (jumps x points) matrix of shifted arguments of
+        about `chunk` elements: all jumps at once for few points, so that its
+        fixed cost is paid once rather than once per jump, and blocks of
+        `chunk` points one jump at a time for many. NaN raises ValueError.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
+        if np.isnan(flat).any():
+            raise ValueError("profile sum of NaN: the argument must be a number")
         out = np.zeros(flat.size)
         jumps = np.asarray(self.x, dtype=float)[:, None]
         step = max(1, min(flat.size, chunk))
@@ -275,11 +278,7 @@ class TangentProfile:
 
     def f_vec(self, xs) -> np.ndarray:
         if self.mode == MODE_LIPSCHITZ:
-            xs = np.asarray(xs, dtype=float)
-            out = np.zeros_like(xs)
-            for ak, xk in zip(self.a, self.x):
-                out += ak * (xs >= xk)
-            return self.c * out
+            return self._jump_sum(lambda u: u >= 0.0, xs, _F_CHUNK)
         return self._jump_sum(lambda u: htilde_vec(self.sm, self.bridge, u), xs, _F_CHUNK)
 
     def f(self, x: float) -> float:

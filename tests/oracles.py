@@ -235,14 +235,17 @@ def trace_per_cell(ev, x_lo: float, x_hi: float, base_n: int = 200) -> BoundaryT
 
 
 def f_per_jump(p, xs, slope=False):
-    """c1 f (or f' with slope=True) as one htilde pass per jump, summed in
-    ascending k: the library's single pass over all jumps must equal it bit
-    for bit."""
+    """f (or c1 f' with slope=True) as one pass per jump, summed in ascending
+    k: the Lipschitz step (xs >= x_k) or htilde. The library's single pass
+    over all jumps must equal it bit for bit."""
     fn = htilde_slope_vec if slope else htilde_vec
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     for ak, xk in zip(p.a, p.x):
-        out += ak * fn(p.sm, p.bridge, xs - xk)
+        if p.mode == "lipschitz":
+            out += ak * (xs >= xk)
+        else:
+            out += ak * fn(p.sm, p.bridge, xs - xk)
     return p.c * out
 
 

@@ -52,6 +52,10 @@ REMOVED = (
     # per-piece forms are test oracles
     "split_plan", "integrate_power_endpoint", "gauss_cells", "_integrate_split",
     "_split_singular", "_regular_ends",
+    # a second mode check in front of the table's lookup, and a search alias
+    # that only tests called: kf_vec sums table().eval_vec, and the tests
+    # call _nearest_in_blocks with _block_circles
+    "k_htilde_vec", "_nearest_on_segments",
 )
 
 
@@ -84,7 +88,7 @@ def test_removed_settings_stay_removed():
     )
     from nondini.halfplane import HarmonicEvaluator
     from nondini.hilbert import HilbertEvaluator, KHtildeTable, pv_quadrature_oracle
-    from nondini.measure import _nearest_on_segments
+    from nondini.measure import _nearest_in_blocks
     from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
     from nondini.quadrature import gauss_graded, split_integrals
@@ -110,8 +114,7 @@ def test_removed_settings_stay_removed():
     assert not any("tol" in params(fn) for fn in (
         integrate_phi, trace_boundary, growth_check, _segment_integral))
     assert "use_cache" not in fields(HarmonicEvaluator)
-    assert "use_table" not in (params(HilbertEvaluator.kf_vec)
-                               | params(HilbertEvaluator.k_htilde_vec))
+    assert "use_table" not in params(HilbertEvaluator.kf_vec)
     assert "points" not in params(oracles.quad_scalar)
     assert not {"tol", "n"} & params(split_integrals)
     # the evaluators' tolerances are the constants hilbert.REGION_TOL and
@@ -131,8 +134,8 @@ def test_removed_settings_stay_removed():
     assert "half_width" not in params(oracles.poisson_of_kf_oracle)
     assert not hasattr(SmoothedModulus, "value_by_quadrature")
     assert not hasattr(SmoothedModulus, "derivative_by_quadrature")
-    assert list(inspect.signature(_nearest_on_segments).parameters) == [
-        "z", "seg_s", "seg_e"]
+    assert list(inspect.signature(_nearest_in_blocks).parameters) == [
+        "z", "seg_s", "seg_e", "centres", "radii"]
     assert not hasattr(HarmonicEvaluator, "boundary_arg")
     assert not hasattr(HarmonicEvaluator, "herglotz")
     assert "_cache" not in fields(HarmonicEvaluator)

@@ -15,6 +15,7 @@ from nondini.cli import (
     main,
     parse_config,
 )
+from nondini.hilbert import KHtildeTable
 from nondini.measure import MCConfig
 
 
@@ -205,6 +206,21 @@ def test_verify_all_suite_passes(tmp_path, capsys):
         assert c["passed"] is True
     text = capsys.readouterr().out
     assert "suite all: PASS" in text
+
+
+def test_verify_c1_never_builds_the_table(tmp_path, monkeypatch):
+    # the verify rows read pointwise Kf from the direct formulas; only the
+    # boundary integrals, which evaluate Kf at thousands of nodes, need the
+    # K Htilde table
+    def refuse(cls, ev):
+        raise AssertionError("verify built the K Htilde table")
+
+    monkeypatch.setattr(KHtildeTable, "build", classmethod(refuse))
+    out = tmp_path / "v"
+    assert run_cli("--out", str(out), "verify", "--suite", "all") == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["config"]["mode"] == "c1"
+    assert [c["passed"] for c in rep["checks"]] == [True] * 19
 
 
 def test_verify_single_suite(tmp_path):

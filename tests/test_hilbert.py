@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nondini.modulus import ModulusSpec, SmoothedModulus
-from nondini.profile import build_bridge, build_profile, MODE_C1, MODE_LIPSCHITZ
+from nondini.profile import build_bridge, build_profile, htilde_vec, MODE_C1, MODE_LIPSCHITZ
 from nondini import hilbert
 from nondini.hilbert import (
     MID,
@@ -299,13 +299,13 @@ def test_table_accuracy_and_zeros(ev_c1):
     tab = ev_c1.table()
     assert tab.max_err < 1e-8
     us = np.array([0.0, 1e-3, -1e-3, 0.37, ev_c1.bridge.x_star * 1.000001, 2.0 ** -40])
-    vals = ev_c1.k_htilde_vec(us)
+    vals = ev_c1.table().eval_vec(us)
     assert vals[0] == -np.inf
     assert np.all(np.abs(vals[1:] - ev_c1.k_htilde_direct(us[1:])) < 1e-9)
     # deep and far arguments come from their own pieces, not a fallback
     far = np.array([2.0 ** 20, -(2.0 ** 20), 2.0 ** -55])
     direct = ev_c1.k_htilde_direct(far)
-    assert np.allclose(ev_c1.k_htilde_vec(far), direct, atol=1e-12)
+    assert np.allclose(ev_c1.table().eval_vec(far), direct, atol=1e-12)
 
 
 def test_kf_vec_consistent_with_k_profile(ev_c1):
@@ -381,24 +381,26 @@ def test_table_lookup_matches_per_piece_oracle_hypothesis(ev_c1, mag, negative):
     assert np.array_equal(tab.eval_vec(u), k_htilde_per_piece(tab, u))
 
 
-def test_kf_vec_is_the_per_jump_sum(ev_c1):
+def test_kf_vec_is_the_per_jump_sum(ev_c1, ev_lip):
     # batched over jumps and chunked over points, bit for bit the ascending
-    # sum of one k_htilde_vec call per jump
-    p = ev_c1.profile
-    rng = np.random.default_rng(12)
-    xs = np.concatenate([rng.uniform(-1.0, 1.5, 1500), np.array(p.x),
-                         np.array(p.x) + 1e-20, np.array(p.x) * (1.0 + 2.0 ** -52)])
-    ref = np.zeros_like(xs)
-    for ak, xk in zip(p.a, p.x):
-        ref += ak * ev_c1.k_htilde_vec(xs - xk)
-    assert np.array_equal(ev_c1.kf_vec(xs), p.c * ref)
-    assert np.array_equal(ev_c1.kf_vec(xs.reshape(2, -1)), (p.c * ref).reshape(2, -1))
+    # sum of one kernel call per jump: the table's lookup in c1 mode,
+    # K_heaviside in Lipschitz mode
+    for ev, kernel in ((ev_c1, ev_c1.table().eval_vec), (ev_lip, K_heaviside)):
+        p = ev.profile
+        rng = np.random.default_rng(12)
+        xs = np.concatenate([rng.uniform(-1.0, 1.5, 1500), np.array(p.x),
+                             np.array(p.x) + 1e-20, np.array(p.x) * (1.0 + 2.0 ** -52)])
+        ref = np.zeros_like(xs)
+        for ak, xk in zip(p.a, p.x):
+            ref += ak * kernel(xs - xk)
+        assert np.array_equal(ev.kf_vec(xs), p.c * ref)
+        assert np.array_equal(ev.kf_vec(xs.reshape(2, -1)), (p.c * ref).reshape(2, -1))
 
 
 @pytest.mark.parametrize("e", [-1074, -1030, -1000, -60, 20, 1000])
 def test_deep_and_far_pieces_match_direct(ev_c1, e):
     us = np.array([2.0 ** e, -(2.0 ** e)])
-    vals = ev_c1.k_htilde_vec(us)
+    vals = ev_c1.table().eval_vec(us)
     assert np.all(np.abs(vals - ev_c1.k_htilde_direct(us)) < 1e-12)
 
 
@@ -408,14 +410,32 @@ def test_k_htilde_finite_at_the_floor(ev_c1):
 
 
 def test_non_finite_inputs(ev_c1):
-    assert np.array_equal(ev_c1.k_htilde_vec(np.array([np.inf, -np.inf])),
+    assert np.array_equal(ev_c1.table().eval_vec(np.array([np.inf, -np.inf])),
                           np.array([np.inf, np.inf]))
     assert np.array_equal(ev_c1.kf_vec(np.array([np.inf, -np.inf])),
                           np.array([np.inf, np.inf]))
     with pytest.raises(ValueError, match="NaN"):
-        ev_c1.k_htilde_vec(np.array([0.5, np.nan]))
+        ev_c1.table().eval_vec(np.array([0.5, np.nan]))
     with pytest.raises(ValueError, match="NaN"):
         ev_c1.kf_vec(np.array([0.5, np.nan]))
+
+
+def test_nan_raises_in_both_modes(ev_lip, ev_c1):
+    # f, f', Kf and the pointwise Kf reject NaN alike in both modes; the
+    # Lipschitz paths used to give 0, NaN and (nan, nan) silently
+    for ev in (ev_lip, ev_c1):
+        p = ev.profile
+        slope = [p.fprime_vec] if p.mode == MODE_C1 else []
+        for fn in [p.f_vec, ev.kf_vec, *slope]:
+            with pytest.raises(ValueError, match="NaN"):
+                fn(np.array([0.3, np.nan]))
+        with pytest.raises(ValueError, match="NaN"):
+            ev.k_profile(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        K_heaviside(np.array([0.5, np.nan]))
+    # Htilde itself is NaN at NaN, not whatever the output buffer held
+    out = htilde_vec(ev_c1.sm, ev_c1.bridge, np.array([np.nan] * 64 + [0.3, -0.3]))
+    assert np.isnan(out[:64]).all() and np.isfinite(out[64:]).all()
 
 
 def test_oracle_window_stays_clear_of_the_compensator_jump(ev_c1):

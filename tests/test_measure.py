@@ -26,7 +26,7 @@ from nondini.measure import (
     MCConfig,
     _block_circles,
     _extended_segments,
-    _nearest_on_segments,
+    _nearest_in_blocks,
     appendix_product_integral,
     density_at,
     is_interior,
@@ -450,7 +450,7 @@ def test_nearest_segment_search_matches_bruteforce(name, request):
     for far_radius in (8.0, 4096.0):
         seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
         z = _search_queries(trace, far_radius, rng)
-        fast = _nearest_on_segments(z, seg_s, seg_e)
+        fast = _nearest_in_blocks(z, seg_s, seg_e, *_block_circles(seg_s, seg_e))
         slow = nearest_on_segments_bruteforce(z, seg_s, seg_e)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
@@ -473,7 +473,7 @@ def test_nearest_segment_search_property(points):
     P = np.asarray(_CURVE.phi)
     z = np.array([P[j] + h * complex(math.cos(a), math.sin(a))
                   for j, h, a in points])
-    fast = _nearest_on_segments(z, *_CURVE_SEGS[:2])
+    fast = _nearest_in_blocks(z, *_CURVE_SEGS[:2], *_block_circles(*_CURVE_SEGS[:2]))
     slow = nearest_on_segments_bruteforce(z, *_CURVE_SEGS[:2])
     for a, b in zip(fast, slow):
         assert np.array_equal(a, b)

@@ -34,6 +34,11 @@ def profile_c1(sm_log, bridge_log):
     return build_profile("c1", sm=sm_log, bridge=bridge_log)
 
 
+@pytest.fixture(scope="module")
+def profile_lip():
+    return build_profile("lipschitz")
+
+
 # -- bridge ----------------------------------------------------------------
 
 
@@ -183,20 +188,23 @@ def test_profile_fprime_matches_fd(profile_c1):
     assert np.max(np.abs(fd - an)) < 1e-5
 
 
-def test_f_vec_is_the_per_jump_sum(profile_c1):
-    # one htilde pass over the (jumps x points) matrix, summed in ascending
-    # k, is bit for bit one pass per jump; 70,000 points take the path that
-    # splits the points into blocks, the rest the one that groups the jumps
-    p = profile_c1
-    rng = np.random.default_rng(13)
-    jumps = np.array(p.x)
-    knots = (jumps[:, None] + np.array(p.bridge.knots)[None, :]).ravel()
-    xs = np.concatenate([rng.uniform(-1.0, 1.5, 1500), jumps, jumps + 1e-20,
-                         jumps - 1e-20, jumps * (1.0 + 2.0 ** -52), knots])
-    for pts in (xs, xs.reshape(2, -1), np.array(0.3), rng.uniform(-1.0, 1.5, 70000)):
-        assert np.array_equal(p.f_vec(pts), f_per_jump(p, pts))
-        assert np.array_equal(p.fprime_vec(pts), f_per_jump(p, pts, slope=True))
-    assert p.f_vec(np.array(0.3)).shape == ()
+def test_f_vec_is_the_per_jump_sum(profile_c1, profile_lip):
+    # one kernel pass over the (jumps x points) matrix, summed in ascending
+    # k, is bit for bit one pass per jump (htilde in c1 mode, the step
+    # xs >= x_k in Lipschitz mode); 70,000 points take the path that splits
+    # the points into blocks, the rest the one that groups the jumps
+    for p in (profile_c1, profile_lip):
+        rng = np.random.default_rng(13)
+        jumps = np.array(p.x)
+        rises = p.bridge.knots if p.mode == "c1" else (0.0,)
+        knots = (jumps[:, None] + np.array(rises)[None, :]).ravel()
+        xs = np.concatenate([rng.uniform(-1.0, 1.5, 1500), jumps, jumps + 1e-20,
+                             jumps - 1e-20, jumps * (1.0 + 2.0 ** -52), knots])
+        for pts in (xs, xs.reshape(2, -1), np.array(0.3), rng.uniform(-1.0, 1.5, 70000)):
+            assert np.array_equal(p.f_vec(pts), f_per_jump(p, pts))
+            if p.mode == "c1":
+                assert np.array_equal(p.fprime_vec(pts), f_per_jump(p, pts, slope=True))
+        assert p.f_vec(np.array(0.3)).shape == ()
 
 
 def test_profile_validation():
