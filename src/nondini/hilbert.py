@@ -88,8 +88,12 @@ def K_heaviside(u):
     u = np.asarray(u, dtype=float)
     if np.isnan(u).any():
         raise ValueError("K of NaN: the argument must be a number")
+    k = np.abs(u, out=np.empty_like(u))
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(u)) / PI
+        np.log(k, out=k)
+    k /= PI
+    # a number for a 0-d u, as np.log(np.abs(u)) / PI gives
+    return k[()]
 
 
 @dataclass

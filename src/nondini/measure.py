@@ -18,13 +18,17 @@ derivative from G = Phi' in closed form, in about four boundary integrals.
 singular_set_scan turns the ratio curves into a flagged report.
 
 wos_harmonic_measure estimates the same hitting probabilities with a
-walk-on-spheres sampler against the traced polyline (extended by its two
-straight tails), giving an oracle that is independent of the conformal
-machinery. Its nearest-boundary query tests the two tails against every
-walker and the polyline only in the blocks of 16 segments whose bounding
-circle can hold the nearest point; the result is bitwise equal to testing
-every segment, with ties toward the lowest segment index, so the sampler's
-hits do not depend on the search.
+walk-on-spheres sampler, giving an oracle that is independent of the
+conformal machinery. It walks against the traced polyline cut into straight
+runs (every dropped vertex within a rounding-level tau of its run's chord;
+a Lipschitz trace keeps one segment per interval between jumps) and
+extended by its two straight tails, and maps a hit back to x by linear
+interpolation between the trace vertices projected onto their runs. Its
+nearest-boundary query tests the two tails against every walker and the
+segments only in the blocks of 16 whose bounding circle can hold the
+nearest point; the result is bitwise equal to testing every segment, with
+ties toward the lowest segment index, so the sampler's hits do not depend
+on the search.
 
 appendix_product_integral verifies the integrability estimate
 int_{-eps}^{eps} prod_k |x - s_k|^{-b_k} dx <= C eps^{1 - sum b_k} that
@@ -58,6 +62,9 @@ PI = math.pi
 _WALKER_CHUNK = 1024
 # consecutive polyline segments per bounding circle of that search
 _B = 16
+# a trace vertex within this fraction of the trace's diameter of the chord of
+# its straight run is dropped from the walk's segments
+_MERGE_TOL = 1e-12
 # most steps of one surface-ball crossing solve; a solve takes about four,
 # and about 70 when a derivative 10x too large leaves it to the midpoints
 _CROSSING_STEPS = 100
@@ -376,14 +383,70 @@ class WosReport:
     seed: int
 
 
-def _extended_segments(trace: BoundaryTrace, far_radius: float):
-    """Polyline segments plus straight tail rays, with boundary parameters.
+def _merge_tolerance(P: np.ndarray) -> float:
+    """tau: _MERGE_TOL times the diagonal of the bounding box of the points P
+    (between one and sqrt(2) times their diameter)."""
+    return _MERGE_TOL * float(np.hypot(np.ptp(P.real), np.ptp(P.imag)))
 
-    The tails continue the first and last trace segments for 4x the
-    far-field radius, so every walker inside the far-field disk sees the
-    full boundary. Ray points carry synthetic parameters offset by
-    Euclidean length, which keeps them outside every traced arc. Segment 0
-    is the left ray, the last segment the right ray.
+
+def _within_chord(P: np.ndarray, a: int, b: int, tau: float) -> bool:
+    """Whether every vertex strictly between P[a] and P[b] lies within tau of
+    the segment from P[a] to P[b]."""
+    d = P[b] - P[a]
+    L2 = d.real * d.real + d.imag * d.imag
+    return bool(np.all(_segment_distance(P[a + 1:b], P[a], d, L2)[0] <= tau))
+
+
+def _straight_runs(P: np.ndarray, tau: float) -> np.ndarray:
+    """Increasing indices of the vertices of P kept, first and last included,
+    such that every dropped vertex lies within tau of the segment joining the
+    two kept vertices around it.
+
+    Greedy: from each kept vertex the run's end gallops forward, doubling its
+    step while the run stays within tau, then bisects between the last end
+    that passed and the first that failed. Only ends that passed the check
+    are kept, so the invariant holds whether or not the check is monotone in
+    the end.
+    """
+    n = P.size
+    keep = [0]
+    a = 0
+    while a < n - 1:
+        lo, step = a + 1, 1
+        while lo + step < n and _within_chord(P, a, lo + step, tau):
+            lo += step
+            step *= 2
+        hi = min(lo + step, n)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _within_chord(P, a, mid, tau):
+                lo = mid
+            else:
+                hi = mid
+        keep.append(lo)
+        a = lo
+    return np.array(keep)
+
+
+def _extended_segments(trace: BoundaryTrace, far_radius: float):
+    """Merged boundary segments plus straight tail rays, and the knots that
+    map a point on them back to the boundary parameter x.
+
+    The trace's polyline is cut into straight runs (_straight_runs with
+    tau = _merge_tolerance of the trace): every dropped vertex lies within
+    tau of its run's chord, so the merged segments are the traced geometry to
+    rounding level. A Lipschitz trace, whose tangent angle is piecewise
+    constant, keeps one segment per interval between jumps. The tails
+    continue the first and last trace segments (not the merged ones) for 4x
+    the far-field radius, so every walker inside the far-field disk sees the
+    full boundary. Segment 0 is the left ray, the last segment the right ray.
+
+    A point at parameter t in [0, 1] of segment j has the key j + t, and its
+    x is np.interp(j + t, keys, xs). The knots are every trace vertex,
+    projected onto its merged segment, with its own x, plus the rays' far
+    ends, which carry synthetic parameters offset by Euclidean length and so
+    lie outside every traced arc. Keys that fail to increase strictly raise
+    ValueError with the offending values.
     """
     P = np.asarray(trace.phi)
     X = np.asarray(trace.x)
@@ -392,11 +455,23 @@ def _extended_segments(trace: BoundaryTrace, far_radius: float):
     d1 = P[-1] - P[-2]
     d1 /= abs(d1)
     L = 4.0 * far_radius
-    seg_s = np.concatenate([[P[0] - L * d0], P[:-1], [P[-1]]])
-    seg_e = np.concatenate([[P[0]], P[1:], [P[-1] + L * d1]])
-    par_s = np.concatenate([[X[0] - L], X[:-1], [X[-1]]])
-    par_e = np.concatenate([[X[0]], X[1:], [X[-1] + L]])
-    return seg_s, seg_e, par_s, par_e
+    keep = _straight_runs(P, _merge_tolerance(P))
+    seg_s = np.concatenate([[P[0] - L * d0], P[keep[:-1]], [P[-1]]])
+    seg_e = np.concatenate([[P[0]], P[keep[1:]], [P[-1] + L * d1]])
+    # merged segment of each vertex but the last, which ends the last one
+    j = np.searchsorted(keep, np.arange(P.size - 1), side="right")
+    d = seg_e[j] - seg_s[j]
+    t = _segment_distance(P[:-1], seg_s[j], d, d.real * d.real + d.imag * d.imag)[1]
+    keys = np.concatenate([[0.0], j + t, [keep.size, keep.size + 1.0]])
+    xs = np.concatenate([[X[0] - L], X, [X[-1] + L]])
+    bad = np.flatnonzero(np.diff(keys) <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            "merged-segment keys must increase strictly: key %.17g at x = %.17g "
+            "is followed by key %.17g at x = %.17g"
+            % (keys[i], xs[i], keys[i + 1], xs[i + 1]))
+    return seg_s, seg_e, keys, xs
 
 
 def _block_circles(seg_s: np.ndarray, seg_e: np.ndarray):
@@ -513,17 +588,21 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
                          mc: MCConfig) -> WosReport:
     """Hitting frequency of each boundary arc for Brownian motion from X.
 
-    Walk on spheres against the extended polyline: each walker jumps to a
-    uniform point of the largest boundary-free circle, is absorbed once
-    within wos_epsilon of the boundary (hit assigned to the nearest
-    parameter), and is abandoned as 'far' beyond far_radius, where its
-    arc-hitting probability is O(arc size / far_radius) and ignored; the
-    pole must lie inside that disk. The angle used by walker w at step s
+    Walk on spheres against the merged segments of _extended_segments (the
+    trace's straight runs, within tau of its polyline, and the two tail
+    rays): each walker jumps to a uniform point of the largest boundary-free
+    circle, is absorbed once within wos_epsilon of the boundary (the x of
+    its hit is one np.interp of the nearest point's segment index j plus
+    parameter t over the trace vertices' keys), and is abandoned as 'far'
+    beyond far_radius, where its arc-hitting probability is
+    O(arc size / far_radius) and ignored; the pole must lie inside that
+    disk. The angle used by walker w at step s
     depends only on (seed, s, w), so results are independent of chunking.
     The nearest boundary point comes from the exact block-pruned search of
     _nearest_in_blocks: the tail rays are always tested, the distance,
     segment and parameter are bitwise those of testing every segment, and
-    ties go to the lowest segment index.
+    ties go to the lowest segment index. The walk over the unmerged polyline
+    is the oracle in tests/oracles.py.
     """
     arcs = [(float(a), float(b)) for a, b in arcs]
     if not arcs:
@@ -544,7 +623,7 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
         raise ValueError("pole must lie inside the far-field disk: |X| = %g "
                          "is not below far_radius = %g"
                          % (abs(X), mc.far_radius))
-    seg_s, seg_e, par_s, par_e = _extended_segments(trace, mc.far_radius)
+    seg_s, seg_e, keys, xs = _extended_segments(trace, mc.far_radius)
     if not _odd_crossings(seg_s, seg_e, X):
         raise ValueError("pole must be interior to the traced domain")
     centres, radii = _block_circles(seg_s, seg_e)
@@ -564,8 +643,7 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
         hit = dist < mc.wos_epsilon
         habs = act[hit]
         state[habs] = 1
-        ph = idx[hit]
-        param[habs] = par_s[ph] + ts[hit] * (par_e[ph] - par_s[ph])
+        param[habs] = np.interp(idx[hit] + ts[hit], keys, xs)
         rest = act[~hit]
         z[rest] += dist[~hit] * np.exp(2j * PI * u[rest])
         gone = rest[np.abs(z[rest]) > mc.far_radius]
@@ -588,18 +666,21 @@ def wos_harmonic_measure(trace: BoundaryTrace, X: complex, arcs,
 def resolution_term(trace: BoundaryTrace, arcs, mc: MCConfig) -> float:
     """Frequency slack from the polyline discretization of the boundary.
 
-    An absorbed walker sits within wos_epsilon of the polyline, which itself
-    sags below the true curve by at most h^2 kappa / 8 ~ h * turn / 8 per
-    segment, so its assigned parameter can wander about (eps + sag)/|Phi'|
-    in x near an arc endpoint. Each endpoint converts that wander into
-    frequency error at most the half-plane Poisson density 1/pi per unit x.
+    An absorbed walker sits within wos_epsilon of the merged segments of
+    _extended_segments. The trace's polyline sags below the true curve by at
+    most h^2 kappa / 8 ~ h * turn / 8 per segment, and the merged segments
+    stray from the polyline by at most the merge tolerance tau, so the sag
+    is taken as h * turn / 8 + tau. The assigned parameter can then wander
+    about (eps + sag)/|Phi'| in x near an arc endpoint. Each endpoint
+    converts that wander into frequency error at most the half-plane Poisson
+    density 1/pi per unit x.
     """
     phis = np.asarray(trace.phi)
     d = np.diff(phis)
     h = float(np.max(np.abs(d)))
     ang = np.angle(d[1:] / d[:-1])
     turn = float(np.max(np.abs(ang))) if ang.size else 0.0
-    sag = h * turn / 8.0
+    sag = h * turn / 8.0 + _merge_tolerance(phis)
     finite = np.asarray(trace.abs_dphi)[np.isfinite(trace.abs_dphi)]
     g_min = float(np.min(finite)) if finite.size else 1.0
     slack_x = (mc.wos_epsilon + sag) / max(g_min, 1e-6)

@@ -18,7 +18,10 @@ planner, cuts an interval into pieces with at most one singular end; a
 regular piece is `gauss_cells`, Gauss cells summed over an edge list; a
 singular piece is `integrate_power_endpoint`, the flattened rule.
 The principal value by excision and Richardson extrapolation
-(`pv_richardson_oracle`) checks the library's folded PV oracle.
+(`pv_richardson_oracle`) checks the library's folded PV oracle. The
+walk-on-spheres over every segment of the trace's polyline
+(`polyline_segments`, `wos_polyline_counts`) is what the walk over the
+merged straight runs must match.
 """
 
 import cmath
@@ -36,7 +39,7 @@ from nondini.conformal import (
 from nondini import halfplane, hilbert
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
 from nondini.hilbert import DEEP, FAR, MID, KHtildeTable, _rise_scale
-from nondini.measure import _phi_from
+from nondini.measure import _block_circles, _nearest_in_blocks, _phi_from
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import (
     QuadratureError,
@@ -91,6 +94,58 @@ def nearest_on_segments_bruteforce(z, seg_s, seg_e):
         idx[i0:i0 + chunk] = j
         ts[i0:i0 + chunk] = t[rows, j]
     return dist, idx, ts
+
+
+def polyline_segments(trace: BoundaryTrace, far_radius: float):
+    """The trace's polyline segments, every one of them, plus the straight
+    tail rays of measure._extended_segments, with the boundary parameters of
+    their ends: (seg_s, seg_e, par_s, par_e). Segment 0 is the left ray, the
+    last segment the right ray; ray points carry synthetic parameters offset
+    by Euclidean length."""
+    P = np.asarray(trace.phi)
+    X = np.asarray(trace.x)
+    d0 = P[1] - P[0]
+    d0 /= abs(d0)
+    d1 = P[-1] - P[-2]
+    d1 /= abs(d1)
+    L = 4.0 * far_radius
+    seg_s = np.concatenate([[P[0] - L * d0], P[:-1], [P[-1]]])
+    seg_e = np.concatenate([[P[0]], P[1:], [P[-1] + L * d1]])
+    par_s = np.concatenate([[X[0] - L], X[:-1], [X[-1]]])
+    par_e = np.concatenate([[X[0]], X[1:], [X[-1] + L]])
+    return seg_s, seg_e, par_s, par_e
+
+
+def wos_polyline_counts(trace: BoundaryTrace, X: complex, arcs, mc) -> tuple:
+    """Arc hit counts of measure.wos_harmonic_measure's walk run over every
+    segment of the polyline (polyline_segments), a hit assigned the linear
+    parameter of its segment. The same angle stream, search and absorption
+    rule; no input checks."""
+    seg_s, seg_e, par_s, par_e = polyline_segments(trace, mc.far_radius)
+    centres, radii = _block_circles(seg_s, seg_e)
+    n = mc.n_walkers
+    rng = np.random.Generator(np.random.Philox(mc.seed))
+    z = np.full(n, complex(X))
+    absorbed = np.zeros(n, dtype=bool)
+    walking = np.ones(n, dtype=bool)
+    param = np.full(n, np.nan)
+    for _ in range(mc.max_steps):
+        act = np.flatnonzero(walking)
+        if act.size == 0:
+            break
+        u = rng.random(n)
+        dist, idx, ts = _nearest_in_blocks(z[act], seg_s, seg_e, centres, radii)
+        hit = dist < mc.wos_epsilon
+        habs = act[hit]
+        absorbed[habs] = True
+        walking[habs] = False
+        ph = idx[hit]
+        param[habs] = par_s[ph] + ts[hit] * (par_e[ph] - par_s[ph])
+        rest = act[~hit]
+        z[rest] += dist[~hit] * np.exp(2j * PI * u[rest])
+        walking[rest[np.abs(z[rest]) > mc.far_radius]] = False
+    return tuple(int(np.sum(absorbed & (param >= a) & (param < b)))
+                 for a, b in arcs)
 
 
 def bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,

@@ -76,6 +76,21 @@ def test_k_heaviside():
     assert K_heaviside(-0.5) == pytest.approx(-math.log(2.0) / PI, rel=1e-15)
 
 
+def test_k_heaviside_is_log_abs_over_pi_bitwise():
+    rng = np.random.default_rng(11)
+    u = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -1.0],
+                        rng.normal(size=494),
+                        rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, 500)])
+    rng.shuffle(u)
+    for v in (u, u.reshape(20, -1), u[::3], 0.0, -0.0, 2.0):
+        got = np.asarray(K_heaviside(v))
+        with np.errstate(divide="ignore"):
+            want = np.asarray(np.log(np.abs(v)) / PI)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert K_heaviside(0.0) == -math.inf and K_heaviside(-0.0) == -math.inf
+
+
 # -- oracle first: validate it on closed forms before trusting it -------------
 
 def test_oracle_reproduces_heaviside_closed_form(ev_wedge):

@@ -38,7 +38,12 @@ from nondini.measure import (
 from nondini.modulus import ModulusSpec, SmoothedModulus
 from nondini.profile import MODE_C1, MODE_LIPSCHITZ, build_bridge, build_profile
 from nondini.quadrature import QuadratureError
-from oracles import bisect_crossing, nearest_on_segments_bruteforce
+from oracles import (
+    bisect_crossing,
+    nearest_on_segments_bruteforce,
+    polyline_segments,
+    wos_polyline_counts,
+)
 
 WEDGE_C = 0.9
 WEDGE_Q = 1.0 - WEDGE_C / math.pi
@@ -379,7 +384,7 @@ def _search_queries(trace, far_radius, rng):
     """Points on the boundary, at its vertices, beside and on the tail rays,
     near the far-field circle, and scattered around the traced curve."""
     P = np.asarray(trace.phi)
-    seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
+    seg_s, seg_e, _, _ = polyline_segments(trace, far_radius)
     t = rng.random(P.size - 1)
     on_boundary = [P, 0.5 * (P[:-1] + P[1:]), P[:-1] + t * (P[1:] - P[:-1])]
     beside = [P + h * 1j * np.exp(1j * rng.uniform(0, 2 * np.pi, P.size))
@@ -422,8 +427,8 @@ def test_block_circles_bound_every_computed_distance(name, request):
     # |z - c| - R stays below the computed distance to every segment of the
     # block, also for points a few ulps outside the farthest endpoint, where
     # a radius without its 1e-12 inflation fails by rounding
-    seg_s, seg_e, _, _ = _extended_segments(_search_trace(name, request),
-                                            4096.0)
+    seg_s, seg_e, _, _ = polyline_segments(_search_trace(name, request),
+                                           4096.0)
     centres, radii = _block_circles(seg_s, seg_e)
     m = seg_s.size - 2
     assert centres.size == -(-m // _B)
@@ -448,7 +453,7 @@ def test_nearest_segment_search_matches_bruteforce(name, request):
     assert name != "curve" or (trace.x.size - 1) % _B != 0
     rng = np.random.default_rng(5)
     for far_radius in (8.0, 4096.0):
-        seg_s, seg_e, _, _ = _extended_segments(trace, far_radius)
+        seg_s, seg_e, _, _ = polyline_segments(trace, far_radius)
         z = _search_queries(trace, far_radius, rng)
         fast = _nearest_in_blocks(z, seg_s, seg_e, *_block_circles(seg_s, seg_e))
         slow = nearest_on_segments_bruteforce(z, seg_s, seg_e)
@@ -458,8 +463,84 @@ def test_nearest_segment_search_matches_bruteforce(name, request):
     assert np.any(slow[0] == 0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, _B - 1, _B, _B + 1])
+def test_nearest_segment_search_short_polylines(m):
+    # the segment counts that merged traces hand the search: a single block,
+    # a full one, and a full one followed by a short last block
+    trace = _curve_trace(m + 1)
+    rng = np.random.default_rng(m)
+    for far_radius in (8.0, 4096.0):
+        seg_s, seg_e, _, _ = polyline_segments(trace, far_radius)
+        assert seg_s.size == m + 2
+        z = _search_queries(trace, far_radius, rng)
+        fast = _nearest_in_blocks(z, seg_s, seg_e, *_block_circles(seg_s, seg_e))
+        slow = nearest_on_segments_bruteforce(z, seg_s, seg_e)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", SEARCH_TRACES)
+def test_merged_segments_drop_only_vertices_on_their_chord(name, request):
+    trace = _search_trace(name, request)
+    P, X = np.asarray(trace.phi), np.asarray(trace.x)
+    tau = measure._merge_tolerance(P)
+    assert 0.0 < tau <= 3e-12 * np.abs(P - P[0]).max()
+    seg_s, seg_e, keys, xs = _extended_segments(trace, 4096.0)
+    poly_s, poly_e, _, _ = polyline_segments(trace, 4096.0)
+    # the rays are the polyline's, and the merged segments join end to end
+    # from the first trace vertex to the last
+    assert seg_s[0] == poly_s[0] and seg_e[-1] == poly_e[-1]
+    assert np.array_equal(seg_e[:-1], seg_s[1:])
+    kept = [int(np.flatnonzero(P == v)[0]) for v in seg_s[1:]]
+    assert kept[0] == 0 and kept[-1] == P.size - 1
+    assert np.all(np.diff(kept) > 0)
+    for a, b in zip(kept, kept[1:]):
+        dist = nearest_on_segments_bruteforce(P[a + 1:b], P[a:a + 1], P[b:b + 1])[0]
+        assert np.all(dist <= tau)
+    # one knot per trace vertex with its own x, a kept vertex at the start
+    # of its segment, between the rays' far ends
+    assert np.array_equal(xs[1:-1], X)
+    assert np.array_equal(keys[1:-1][kept], 1.0 + np.arange(len(kept)))
+    assert np.all(np.diff(keys) > 0.0)
+    assert keys[0] == 0.0 and keys[-1] == len(kept) + 1.0
+
+
+def test_merged_segments_of_straight_traces(trace_lip):
+    # the default Lipschitz trace: one segment per interval between its
+    # K = 20 jumps, at most; a straight trace: one segment at any density
+    assert _extended_segments(trace_lip, 4096.0)[0].size - 1 <= 20 + 2
+    for n in (33, 161):
+        assert _extended_segments(BoundaryTrace.flat(-8.0, 8.0, n), 4096.0)[0].size == 3
+
+
+def test_merged_segments_reject_keys_that_do_not_increase():
+    # a vertex 1e-13 behind the one before it, well within tau of the merged
+    # straight segment, projects behind it
+    xs = np.array([0.0, 1.0, 2.0, 3.0])
+    phi = np.array([0.0, 1.0, 1.0 - 1e-13, 3.0], dtype=complex)
+    trace = BoundaryTrace(x=xs, phi=phi, abs_dphi=np.ones(4),
+                          is_singular=np.zeros(4, bool), c_prime=0.0)
+    with pytest.raises(ValueError, match="increase strictly: key .* at x = 2"):
+        _extended_segments(trace, 16.0)
+
+
+@pytest.mark.parametrize("name, arcs, seed", [
+    # the default Lipschitz trace with mc-oracle's arcs, rounded
+    ("lip", list(zip(np.linspace(-0.89, 1.09, 5)[:-1],
+                     np.linspace(-0.89, 1.09, 5)[1:])), 0),
+    # criterion 9's wedge
+    ("wedge", [(-2.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)], 7),
+    ("c1", [(-0.5, 0.0), (0.0, 0.25), (0.25, 0.5), (0.5, 1.0)], 0),
+])
+def test_merged_walk_counts_equal_the_polyline_walk(name, arcs, seed, request):
+    trace = _search_trace(name, request)
+    mc = MCConfig(n_walkers=4000, seed=seed, wos_epsilon=1e-4)
+    rep = wos_harmonic_measure(trace, 0j, arcs, mc)
+    assert rep.counts == wos_polyline_counts(trace, 0j, arcs, mc)
+
+
 _CURVE = _curve_trace(3 * _B + 6)
-_CURVE_SEGS = _extended_segments(_CURVE, 16.0)
+_CURVE_SEGS = polyline_segments(_CURVE, 16.0)
 
 
 @settings(max_examples=200, deadline=None)
