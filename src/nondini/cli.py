@@ -36,7 +36,6 @@ import numpy as np
 
 from .conformal import (
     BASE_POINT,
-    BoundaryTrace,
     PathSpec,
     check_injectivity,
     growth_check,
@@ -54,7 +53,7 @@ from .measure import (
     singular_set_scan,
     wos_harmonic_measure,
 )
-from .modulus import KIND_TABULATED, ModulusSpec, SmoothedModulus
+from .modulus import KIND_CONSTANT, KIND_POWER, KIND_TABULATED, ModulusSpec, SmoothedModulus
 from .profile import (
     MODE_C1,
     MODE_LIPSCHITZ,
@@ -71,19 +70,28 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class ThetaConfig:
+    """theta.c is read only by kind 'constant' and theta.gamma only by
+    'power'; either key set for another kind is rejected, and an unset key
+    takes ModulusSpec's default and stays out of the echo (config_echo)."""
+
     kind: str = "log_inverse"
-    c: float = 0.1
-    gamma: float = 1.0
+    c: float | None = None
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.kind == KIND_TABULATED:
             raise ValueError("theta.kind 'tabulated' is library-only: build "
                              "ModulusSpec('tabulated', grid=...) in Python")
         self.spec  # a bad theta section raises here
+        for key, kind in (("c", KIND_CONSTANT), ("gamma", KIND_POWER)):
+            if getattr(self, key) is not None and self.kind != kind:
+                raise ValueError(f"config key theta.{key} is read only by kind "
+                                 f"{kind!r}, not by {self.kind!r}")
 
     @property
     def spec(self) -> ModulusSpec:
-        return ModulusSpec(**dataclasses.asdict(self))
+        return ModulusSpec(**{k: v for k, v in dataclasses.asdict(self).items()
+                              if v is not None})
 
 
 @dataclass(frozen=True)
@@ -97,9 +105,6 @@ class TraceConfig:
             raise ValueError("trace window must straddle 0")
         if self.base_n < 2:
             raise ValueError("base_n must be at least 2")
-
-    def boundary(self, ev: HilbertEvaluator) -> BoundaryTrace:
-        return trace_boundary(ev, self.x_lo, self.x_hi, base_n=self.base_n)
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,8 @@ def _coerce(value, want, path):
                 "s" if len(unknown) > 1 else "", ", ".join(unknown)))
         return want(**{k: _coerce(value[k], t, prefix + k)
                        for k, t in hints.items() if k in value})
+    if type(None) in typing.get_args(want):  # a key that may stay unset
+        want = typing.get_args(want)[0]
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config key {path}: expected a number")
@@ -167,6 +174,14 @@ def parse_config(doc: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         return parse_config(json.load(fh))
+
+
+def config_echo(cfg: RunConfig) -> dict:
+    """cfg as the JSON document parse_config reads back: every field but the
+    theta keys its kind does not read."""
+    doc = dataclasses.asdict(cfg)
+    doc["theta"] = {k: v for k, v in doc["theta"].items() if v is not None}
+    return doc
 
 
 DEFAULT_CONFIG = RunConfig()
@@ -207,7 +222,7 @@ def _ensure_out(cfg: RunConfig):
 def cmd_construct(cfg: RunConfig) -> int:
     ev = build_evaluator(cfg)
     p = ev.profile
-    trace = cfg.trace.boundary(ev)
+    trace = trace_boundary(ev, **dataclasses.asdict(cfg.trace))
     out = _ensure_out(cfg)
     _write_json(f"{out}/profile.json", {
         "mode": p.mode,
@@ -215,9 +230,9 @@ def cmd_construct(cfg: RunConfig) -> int:
         "c_prime": p.c_prime,
         "jumps": list(p.x),
         "amplitudes": list(p.a),
-        "theta": dataclasses.asdict(cfg.theta) if p.mode == MODE_C1 else None,
+        "theta": config_echo(cfg)["theta"] if p.mode == MODE_C1 else None,
         "beta": cfg.beta if p.mode == MODE_C1 else None,
-        "config": dataclasses.asdict(cfg),
+        "config": config_echo(cfg),
     })
     trace.to_csv(f"{out}/boundary.csv")
     print("wrote %s/profile.json and %s/boundary.csv (%d samples, "
@@ -299,8 +314,7 @@ def _checks_conformal(cfg: RunConfig, harm: HarmonicEvaluator):
            max(grep.target_exponent - grep.fitted_exponent, 0.0), 0.05)
 
     # identity boundary (f == 0): the machinery must reproduce the half plane
-    flat = BoundaryTrace.flat(-8.0, 8.0, 33)
-    ball = measure_ratio(flat, None, 0.3, 0.5)
+    ball = measure_ratio(None, 0.3, 0.5)
     yield ("conformal/identity-ball-ratio", abs(ball.ratio - 1.0), 1e-12)
     yield ("conformal/identity-ball-width",
            abs((ball.x_hi - ball.x_lo) - 1.0), 1e-12)
@@ -318,10 +332,9 @@ def _checks_measure(cfg: RunConfig, harm: HarmonicEvaluator):
 
     wedge = HilbertEvaluator(build_profile(
         MODE_LIPSCHITZ, jumps=[0.0], amps=[1.0], c_prime_target=0.9))
-    wtrace = trace_boundary(wedge, -1.0, 1.0, base_n=120)
     q = 1.0 - 0.9 / PI
     r = 2.0 ** -8
-    ball = measure_ratio(wtrace, wedge, 0.0, r)
+    ball = measure_ratio(wedge, 0.0, r)
     closed = q ** (1.0 / q) * r ** ((1.0 - q) / q)
     yield ("measure/corner-ball-ratio", abs(ball.ratio / closed - 1.0), 1e-6)
 
@@ -367,7 +380,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     out = _ensure_out(cfg)
     _write_json(f"{out}/report.json", {
         "suite": suite, "passed": ok, "checks": checks,
-        "config": dataclasses.asdict(cfg)})
+        "config": config_echo(cfg)})
     for c in checks:
         print("%-45s %s  measured=%.6g tol=%s"
               % (c["check"], "PASS" if c["passed"] else "FAIL",
@@ -401,9 +414,7 @@ def cmd_density(cfg: RunConfig, centers, r_min: float, r_max: float) -> int:
     if not 0.0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
     rs = _dyadic_ladder(r_max, r_min, "dyadic radii between r_min and r_max")
-    ev = build_evaluator(cfg)
-    trace = cfg.trace.boundary(ev)
-    report = singular_set_scan(trace, ev, centers, rs)
+    report = singular_set_scan(build_evaluator(cfg), centers, rs)
     out = _ensure_out(cfg)
     report.to_csv(f"{out}/density.csv")
     _write_json(f"{out}/report.json", report.to_json_summary())
@@ -417,7 +428,7 @@ def cmd_density(cfg: RunConfig, centers, r_min: float, r_max: float) -> int:
 
 def cmd_mc_oracle(cfg: RunConfig) -> int:
     ev = build_evaluator(cfg)
-    trace = cfg.trace.boundary(ev)
+    trace = trace_boundary(ev, **dataclasses.asdict(cfg.trace))
     lo, hi = cfg.trace.x_lo, cfg.trace.x_hi
     a, b = lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)
     edges = np.linspace(a, b, 5)

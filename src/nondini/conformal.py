@@ -113,13 +113,16 @@ def _jump_integrals(ev: HilbertEvaluator, fn, lo, hi, cells: int = 4) -> np.ndar
     return split_integrals(fn, lo, hi, p.x, [p.c * ak / PI for ak in p.a], cells)
 
 
-def _boundary_integral(ev: HilbertEvaluator, x1: float, x2: float) -> complex:
-    """int_{x1}^{x2} G along the real line, split at the jumps and flattened."""
-    if x1 == x2:
-        return 0j
-    lo, hi = (x1, x2) if x2 > x1 else (x2, x1)
-    val = complex(_jump_integrals(ev, _boundary_g(ev), [lo], [hi])[0])
-    return val if x2 > x1 else -val
+def _boundary_integral(ev: HilbertEvaluator, x1, x2) -> np.ndarray:
+    """int_{x1}^{x2} G along the real line, split at the jumps and flattened:
+    an array of the ends' broadcast shape, ends in either order (0 where
+    they agree), from one split_integrals call."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    val = np.zeros(x1.shape, dtype=complex)
+    part = x1 != x2
+    val[part] = _jump_integrals(ev, _boundary_g(ev), np.minimum(x1, x2)[part],
+                                np.maximum(x1, x2)[part])
+    return np.where(x2 < x1, -val, val)
 
 
 def _auto_path(p: TangentProfile, z: complex) -> PathSpec:
@@ -143,7 +146,7 @@ def _segment_integral(harm: HarmonicEvaluator, z1: complex, z2: complex) -> comp
     """int G from z1 to z2 along the segment: a boundary run if both ends are
     real, else gauss_graded over s in [0, 1] at PHI_TOL."""
     if z1.imag == 0.0 and z2.imag == 0.0:
-        return _boundary_integral(harm.ev, z1.real, z2.real)
+        return complex(_boundary_integral(harm.ev, z1.real, z2.real))
     dz = z2 - z1
     # 40 rounds reach cells of 2^-39 of the segment; an interior segment that
     # ends at a jump certifies with cells of about 2^-22 there
@@ -421,14 +424,10 @@ def secant_tangent(ev: HilbertEvaluator, x: float,
         raise ValueError("eps_list must be strictly decreasing")
     if x in p.x and max(eps) > 0.5 * p.delta(p.x.index(x)):
         raise ValueError("eps_list must stay within half the local gap")
-    diffs = {}
-    acc = 0.0 + 0.0j
-    x_prev = x
-    for e in sorted(eps):
-        acc += _boundary_integral(ev, x_prev, x + e)
-        diffs[e] = acc
-        x_prev = x + e
-    return [(abs(diffs[e] / e), cmath.phase(diffs[e] / e)) for e in eps]
+    # eps is decreasing: the increments run from x outward and telescope
+    ends = x + np.array(eps[::-1])
+    diffs = np.cumsum(_boundary_integral(ev, np.r_[x, ends[:-1]], ends))[::-1]
+    return [(abs(d / e), cmath.phase(d / e)) for d, e in zip(diffs.tolist(), eps)]
 
 
 def average_derivative(ev: HilbertEvaluator, x: float, a: float,

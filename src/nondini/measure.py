@@ -11,11 +11,11 @@ and it degenerates to 0 where Kf diverges to -infinity: at every jump of
 the profile (|Phi'| blows up like a power there) and, for the idealized
 construction the finite truncation approximates, at the accumulation
 point 0 of the jump sequence. measure_ratio resolves a surface ball
-(connected boundary piece within distance r of a center) along the traced
-boundary: each end of its preimage is a safeguarded Newton solve of
-|Phi(x) - Phi(center)| = r inside a bracket of trace samples, with the
-derivative from G = Phi' in closed form, in about four boundary integrals.
-singular_set_scan turns the ratio curves into a flagged report.
+(connected boundary piece within distance r of a center) from its center
+alone: |Phi(c + u) - Phi(c)| increases in |u| on either side, so each end
+is one crossing, bracketed on a ladder of dyadic offsets and solved by
+safeguarded Newton with G = Phi' in closed form. singular_set_scan solves
+all its balls in one batch and turns the ratio curves into a flagged report.
 
 wos_harmonic_measure estimates the same hitting probabilities with a
 walk-on-spheres sampler, giving an oracle that is independent of the
@@ -34,9 +34,9 @@ appendix_product_integral verifies the integrability estimate
 int_{-eps}^{eps} prod_k |x - s_k|^{-b_k} dx <= C eps^{1 - sum b_k} that
 controls the boundary parametrization near the accumulation point.
 
-Conventions: every function here needs only Kf and the profile, so it takes
-the HilbertEvaluator itself, or None for the identity boundary (f = 0);
-boundary points are floats and Kf = -infinity is IEEE -inf.
+Conventions: every function here takes the HilbertEvaluator itself, or None
+for the identity boundary (f = 0); boundary points are floats and
+Kf = -infinity is IEEE -inf.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .conformal import (
     _boundary_integral,
     _jump_integrals,
     _text_sink,
+    integrate_phi,
 )
 from .quadrature import QuadratureError, split_integrals
 
@@ -68,6 +69,11 @@ _MERGE_TOL = 1e-12
 # most steps of one surface-ball crossing solve; a solve takes about four,
 # and about 70 when a derivative 10x too large leaves it to the midpoints
 _CROSSING_STEPS = 100
+# most doublings a surface ball's ladder climbs past its first top rung
+_LADDER_DOUBLINGS = 64
+# where the centre images Phi(c) are anchored: right of every jump (they lie
+# in [-1, 1]), so reaching the default centres crosses no other jump
+_ANCHOR_X = 2.0
 
 
 # -- pointwise density -----------------------------------------------------------
@@ -109,150 +115,138 @@ class BallRatio:
     x_hi: float
 
 
-def _phi_from(ev, ax: float, aphi: complex, x: float) -> complex:
-    """Phi(x) from the anchor value aphi = Phi(ax), along the boundary."""
+def _increment(ev, x1, x2) -> np.ndarray:
+    """Phi(x2) - Phi(x1) along the boundary, for arrays of ends in one call."""
+    return np.asarray(x2, dtype=float) - x1 + 0j if ev is None else _boundary_integral(ev, x1, x2)
+
+
+def _boundary_image(ev, xs) -> np.ndarray:
+    """Phi at the boundary points xs: one integrate_phi at _ANCHOR_X plus the
+    cumsum of one boundary-integral call over cells cut at the points, the
+    jumps and their bridge knots (kinks of f'), at most 1/4 long and refined
+    toward each jump down to 2^-8. On the default c1 profile one integral
+    from the anchor straight to a point is off by up to 2.5e-8, these cells
+    by about 2e-14."""
+    pts = np.asarray(xs, dtype=float)
     if ev is None:
-        return aphi + (x - ax)
-    return aphi + _boundary_integral(ev, ax, x)
+        return pts + 0j
+    p = ev.profile
+    lo, hi = min(pts.min(), _ANCHOR_X), max(pts.max(), _ANCHOR_X)
+    dyadic = np.ldexp(1.0, -np.arange(1, 9))
+    near = np.r_[0.0, p.bridge.knots if p.bridge else (), dyadic, -dyadic]
+    edges = np.unique(np.r_[np.linspace(lo, hi, math.ceil(4.0 * (hi - lo)) + 1), pts,
+                            _ANCHOR_X, np.clip(np.add.outer(p.x, near).ravel(), lo, hi)])
+    cum = np.cumsum(np.r_[0j, _boundary_integral(ev, edges[:-1], edges[1:])])
+    return (integrate_phi(ev, complex(_ANCHOR_X)) + cum[np.searchsorted(edges, pts)]
+            - cum[np.searchsorted(edges, _ANCHOR_X)])
 
 
-def _phi_on_boundary(trace: BoundaryTrace, ev, x: float) -> complex:
-    """Phi(x) anchored at the nearest trace sample (exact at samples)."""
-    xs = np.asarray(trace.x)
-    j = int(np.clip(np.searchsorted(xs, x), 1, xs.size - 1))
-    if abs(xs[j - 1] - x) <= abs(xs[j] - x):
-        j -= 1
-    ax, aphi = float(xs[j]), complex(trace.phi[j])
-    if x == ax:
-        return aphi
-    return _phi_from(ev, ax, aphi, x)
+def _newton_crossings(ev, a, d_a, b, r) -> np.ndarray:
+    """x between a (inside the ball) and b with |D(x)| = r for a batch of
+    crossings, D(a) = d_a and D(x) = Phi(x) - Phi(centre).
 
-
-def _g_at(ev, x: float) -> complex:
-    """G(x) = Phi'(x) on the boundary line; 1 for the identity boundary."""
-    if ev is None:
-        return 1.0 + 0.0j
-    return complex(_boundary_g(ev)(np.array([x]))[0])
-
-
-def _newton_crossing(ev, x_in: float, phi_in: complex, x_out: float,
-                     p_img: complex, r: float) -> float:
-    """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r.
-
-    Safeguarded Newton on h(x) = |Phi(x) - p_img| - r, whose derivative is
-    Re(conj(Phi(x) - p_img) G(x)) / |Phi(x) - p_img|. The bracket [anchor,
-    outside] always holds the crossing: the latest iterate with h < 0 is the
-    anchor, and each Phi is one boundary integral from it. A Newton point
-    that leaves the open bracket, or a step longer than half the one before,
-    becomes the midpoint. A Newton step under half the tolerance
-    1e-15 max(1, |x|) is lengthened by that half so that it lands across the
-    crossing; the solve stops when h == 0 or the bracket is at most the
-    tolerance wide, and returns its midpoint. Past _CROSSING_STEPS steps it
-    raises QuadratureError with the bracket width.
+    Safeguarded Newton on h(x) = |D(x)| - r, with h' = Re(conj(D) G) / |D|.
+    The latest iterate with h < 0 is the anchor, so [anchor, outside] always
+    holds the crossing, and each D is one boundary integral from it. A
+    Newton point outside the open bracket, or a step longer than half the one
+    before, becomes the midpoint; a step under half the tolerance
+    1e-15 max(1, |x|) is lengthened by that half to land across the crossing.
+    A solve stops at h == 0 or at the midpoint of a bracket at most the
+    tolerance wide. Each round makes one G call and one boundary-integral
+    call; past _CROSSING_STEPS rounds QuadratureError gives the widest
+    bracket left.
     """
-    a, phi_a, b = x_in, phi_in, x_out
-    x, phi = a, phi_a
-    step_old = 2.0 * abs(b - a)
+    x, d, step_old = a, d_a, 2.0 * np.abs(b - a)
+    out, idx = np.empty(a.size), np.arange(a.size)
     for _ in range(_CROSSING_STEPS):
-        lo, hi = min(a, b), max(a, b)
-        d = phi - p_img
-        dist = abs(d)
-        g = _g_at(ev, x)
-        # at the centre itself h' is the one-sided |G|; an infinite h' (a
-        # jump) gives a zero step, and a zero or undefined one a nan step,
-        # both of which bisect
-        slope = ((d.conjugate() * g).real / dist if dist > 0.0
-                 else math.copysign(abs(g), b - a))
-        step = -(dist - r) / slope if slope != 0.0 else math.nan
-        half_tol = 0.5e-15 * max(1.0, abs(x))
-        if 0.0 < abs(step) < half_tol:
-            step += math.copysign(half_tol, step)
-        elif abs(step) > 0.5 * step_old:
-            step = math.nan
-        x_new = x + step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (a + b)
-        step_old = abs(x_new - x)
-        x = x_new
-        phi = _phi_from(ev, a, phi_a, x)
-        h = abs(phi - p_img) - r
-        if h == 0.0:
-            return x
-        if h < 0.0:
-            a, phi_a = x, phi
-        else:
-            b = x
-        if abs(b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
-            return 0.5 * (a + b)
+        if not idx.size:
+            return out
+        dist = np.abs(d)
+        g = 1.0 + 0j if ev is None else _boundary_g(ev)(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # at the centre itself h' is the one-sided |G|; an infinite h' (a
+            # jump) gives a zero step, and a zero or undefined one a nan
+            # step, both of which bisect
+            slope = np.where(dist > 0.0, (d.conj() * g).real / dist,
+                             np.copysign(np.abs(g), b - a))
+            step = -(dist - r) / np.where(slope != 0.0, slope, np.nan)
+        half_tol = 0.5e-15 * np.maximum(1.0, np.abs(x))
+        small = (0.0 < np.abs(step)) & (np.abs(step) < half_tol)
+        step = np.where(small, step + np.copysign(half_tol, step),
+                        np.where(np.abs(step) > 0.5 * step_old, np.nan, step))
+        xn = x + step
+        xn = np.where((np.minimum(a, b) < xn) & (xn < np.maximum(a, b)), xn, 0.5 * (a + b))
+        x, d, step_old = xn, d_a + _increment(ev, a, xn), np.abs(xn - x)
+        h = np.abs(d) - r
+        a, d_a, b = np.where(h < 0.0, x, a), np.where(h < 0.0, d, d_a), np.where(h <= 0.0, b, x)
+        out[idx] = np.where(h == 0.0, x, 0.5 * (a + b))
+        tol = 1e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        go = ~((h == 0.0) | (np.abs(b - a) <= tol))
+        idx, x, d, step_old, a, d_a, b, r = (v[go] for v in (idx, x, d, step_old, a, d_a, b, r))
+    if not idx.size:
+        return out
     raise QuadratureError(
         "surface-ball crossing unresolved after %d Newton steps: bracket "
-        "width %.3e" % (_CROSSING_STEPS, abs(b - a)))
+        "width %.3e" % (_CROSSING_STEPS, np.abs(b - a).max()))
 
 
-def _ball_preimage(trace: BoundaryTrace, ev, x_center: float, r: float,
-                   p_img: complex | None = None) -> tuple[float, float]:
-    """Preimage [x_lo, x_hi] of the surface ball of radius r at Phi(x_center).
+def _ball_preimages(ev, centres, rs):
+    """Preimages [x_lo, x_hi] of the balls of radius rs[j] at Phi(centres[i]),
+    as two (centres, radii) arrays.
 
-    p_img is Phi(x_center) when the caller has it already. The ball must be
-    a single connected run of the trace: an inside sample beyond the first
-    outside sample on either flank means the resolution cannot separate
-    components, and a run touching the trace ends means r exceeds the
-    covered radius. Both raise.
+    f in [0, c'] with c' < pi/2 puts D(x) = Phi(x) - Phi(c) and G(x) in the
+    cone [0, c'] for x > c (its negative for x < c), so |D| increases away
+    from c. Each side of each centre gets a ladder row of rungs x = c -/+ 2^e,
+    e from floor(log2 min rs) - 3 up, with D the cumsum of one
+    boundary-integral call (no far anchor, no O(1) cancellation); all rows
+    climb one doubling more while some top |D| is below max rs, and after
+    _LADDER_DOUBLINGS ValueError reports the last u and |D|. searchsorted on
+    each row's |D| brackets every radius (inside end: the last rung inside,
+    or c), and _newton_crossings solves every crossing in one batch.
     """
-    if not r > 0.0:
+    rs = np.asarray(rs, dtype=float)
+    if not np.all(rs > 0.0):
         raise ValueError("ball radius must be positive")
-    xs = np.asarray(trace.x)
-    if not xs[0] < x_center < xs[-1]:
-        raise ValueError("center outside the traced window")
-    if p_img is None:
-        p_img = _phi_on_boundary(trace, ev, x_center)
-    hs = np.abs(np.asarray(trace.phi) - p_img) - r
-    iR = int(np.searchsorted(xs, x_center, side="right"))
-    iL = iR - 1
-
-    out_left = np.flatnonzero(hs[:iL + 1] >= 0.0)
-    if out_left.size == 0:
-        raise ValueError("r too large: ball reaches the left end of the trace")
-    jL = int(out_left[-1])
-    if np.any(hs[:jL] < 0.0):
-        raise ValueError("preimage disconnected at this trace resolution")
-    if jL == iL:
-        in_x, in_phi = x_center, p_img
+    c = np.repeat(np.asarray(centres, dtype=float), 2)[:, None]
+    sign = np.tile([-1.0, 1.0], len(c) // 2)[:, None]
+    xs, ds = c, np.zeros(c.shape, dtype=complex)
+    e = np.arange(math.floor(math.log2(rs.min())) - 3, math.ceil(math.log2(rs.max())) + 2)
+    for _ in range(_LADDER_DOUBLINGS + 1):
+        rungs = c + sign * np.ldexp(1.0, e)
+        inc = _increment(ev, np.c_[xs[:, -1:], rungs[:, :-1]], rungs)
+        xs, ds = np.c_[xs, rungs], np.c_[ds, ds[:, -1:] + np.cumsum(inc, axis=1)]
+        short = np.flatnonzero(~(np.abs(ds[:, -1]) >= rs.max()))
+        if not short.size:
+            break
+        e = e[-1:] + 1
     else:
-        in_x, in_phi = float(xs[jL + 1]), complex(trace.phi[jL + 1])
-    x_lo = _newton_crossing(ev, in_x, in_phi, float(xs[jL]), p_img, r)
-
-    out_right = np.flatnonzero(hs[iR:] >= 0.0)
-    if out_right.size == 0:
-        raise ValueError("r too large: ball reaches the right end of the trace")
-    jR = iR + int(out_right[0])
-    if np.any(hs[jR + 1:] < 0.0):
-        raise ValueError("preimage disconnected at this trace resolution")
-    if jR == iR:
-        in_x, in_phi = x_center, p_img
-    else:
-        in_x, in_phi = float(xs[jR - 1]), complex(trace.phi[jR - 1])
-    x_hi = _newton_crossing(ev, in_x, in_phi, float(xs[jR]), p_img, r)
-    return x_lo, x_hi
+        i = short[0]
+        raise ValueError(
+            "surface ball of radius %g at x = %g out of reach: |Phi(c + u) - Phi(c)| "
+            "= %.3e at u = %.3e after %d doublings"
+            % (rs.max(), c[i, 0], abs(ds[i, -1]), xs[i, -1] - c[i, 0], _LADDER_DOUBLINGS))
+    k = np.array([np.searchsorted(row, rs) for row in np.abs(ds)])
+    a, d_a, b = (np.take_along_axis(v, j, 1).ravel()
+                 for v, j in ((xs, k - 1), (ds, k - 1), (xs, k)))
+    ends = _newton_crossings(ev, a, d_a, b, np.tile(rs, len(xs))).reshape(-1, 2, rs.size)
+    return ends[:, 0], ends[:, 1]
 
 
-def measure_ratio(trace: BoundaryTrace, ev, x_center: float, r: float,
-                  p_img: complex | None = None) -> BallRatio:
-    """omega / arclength for the surface ball of radius r at Phi(x_center).
-
-    omega is the Lebesgue length of the preimage interval (pole-at-infinity
-    pullback), arclength integrates |Phi'| = exp(-Kf) over the same interval
-    with flattened rules at interior jumps. p_img is Phi(x_center) when the
-    caller has it already.
-    """
-    x_lo, x_hi = _ball_preimage(trace, ev, x_center, r, p_img)
-    omega = x_hi - x_lo
+def _arc_lengths(ev, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int |Phi'| = exp(-Kf) over each [lo, hi], in one call."""
     if ev is None:
-        length = omega
-    else:
-        length = _jump_integrals(ev, _boundary_abs_dphi(ev), [x_lo], [x_hi])[0]
-    return BallRatio(float(omega), float(length), float(omega / length),
-                     float(x_lo), float(x_hi))
+        return hi - lo
+    return _jump_integrals(ev, _boundary_abs_dphi(ev), lo.ravel(), hi.ravel()).reshape(lo.shape)
+
+
+def measure_ratio(ev, x_center: float, r: float) -> BallRatio:
+    """omega / arclength for the surface ball of radius r at Phi(x_center):
+    omega is the Lebesgue length of the preimage (_ball_preimages, the
+    pole-at-infinity pullback), arclength integrates |Phi'| = exp(-Kf) over
+    it with flattened rules at interior jumps."""
+    lo, hi = _ball_preimages(ev, [x_center], [r])
+    omega, length = (hi - lo).item(), _arc_lengths(ev, lo, hi).item()
+    return BallRatio(omega, length, omega / length, lo.item(), hi.item())
 
 
 # -- singular set scan -----------------------------------------------------------
@@ -309,27 +303,29 @@ class DensityReport:
         }
 
 
-def singular_set_scan(trace: BoundaryTrace, ev, centers, r_list,
-                      threshold: float = 1e-2,
+def singular_set_scan(ev, centers, r_list, threshold: float = 1e-2,
                       control_tol: float = 1e-3) -> DensityReport:
     """Ratio curves per center with vanishing-density flags.
 
-    A center is flagged when its ratio at the finest r falls below the
-    threshold and the curve decreases monotonically over the last five
-    dyadic radii. Regular controls (centers where density_at is positive)
-    must reproduce their pointwise density at the finest r within
-    control_tol, otherwise the trace is under-resolved and the scan raises.
+    All balls are one batch of _ball_preimages and one arc-length call, and
+    p is _boundary_image's. A center is flagged when its ratio at the finest r
+    falls below the threshold and the curve decreases monotonically over the
+    last five dyadic radii. Regular controls (centers where density_at is
+    positive) must reproduce their pointwise density at the finest r within
+    control_tol, otherwise the balls are under-resolved and the scan raises.
     """
     rs = sorted((float(r) for r in r_list), reverse=True)
     if len(rs) < 2 or len(set(rs)) != len(rs):
         raise ValueError("need at least two distinct radii")
+    xs = [float(x) for x in centers]
+    if not xs:
+        return DensityReport((), threshold, control_tol)
+    x_lo, x_hi = _ball_preimages(ev, xs, rs)
+    omegas, lengths = x_hi - x_lo, _arc_lengths(ev, x_lo, x_hi)
     out = []
-    for x_c in centers:
-        x_c = float(x_c)
+    for x_c, p_img, om, ln, ratios in zip(xs, _boundary_image(ev, xs).tolist(), omegas.tolist(),
+                                          lengths.tolist(), (omegas / lengths).tolist()):
         dens = density_at(ev, x_c)
-        p_img = _phi_on_boundary(trace, ev, x_c)
-        curves = [measure_ratio(trace, ev, x_c, r, p_img) for r in rs]
-        ratios = [b.ratio for b in curves]
         tail = ratios[-min(5, len(ratios)):]
         flagged = (ratios[-1] < threshold
                    and all(b < a for a, b in zip(tail, tail[1:])))
@@ -341,10 +337,8 @@ def singular_set_scan(trace: BoundaryTrace, ev, centers, r_list,
         out.append(CenterReport(
             x=x_c, p=p_img, density=dens.value,
             density_singular=dens.singular, flagged=flagged,
-            fitted_slope=slope, rs=tuple(rs),
-            omegas=tuple(b.omega for b in curves),
-            lengths=tuple(b.length for b in curves),
-            ratios=tuple(ratios)))
+            fitted_slope=slope, rs=tuple(rs), omegas=tuple(om),
+            lengths=tuple(ln), ratios=tuple(ratios)))
     return DensityReport(tuple(out), threshold, control_tol)
 
 
@@ -717,23 +711,17 @@ def pole_comparison(trace: BoundaryTrace, ev, X: complex, p_center: float,
     rs_all = sorted(float(r) for r in r_list)
     if len(rs_all) < 1 or len(set(rs_all)) != len(rs_all) or rs_all[0] <= 0.0:
         raise ValueError("radii must be positive and distinct")
-    p_img = _phi_on_boundary(trace, ev, float(p_center))
     X = complex(X)
-    if abs(X - p_img) <= 2.0 * rs_all[-1]:
+    if abs(X - _boundary_image(ev, [p_center])[0]) <= 2.0 * rs_all[-1]:
         raise ValueError("pole must stay outside twice the largest ball")
-    spans_all = [_ball_preimage(trace, ev, float(p_center), r)
-                 for r in rs_all]
-    for (u1, v1), (u2, v2) in zip(spans_all, spans_all[1:]):
-        if not (u2 <= u1 and v1 <= v2):
-            raise ValueError("ball preimages failed to nest")
-    pre_dropped = []
-    rs, spans = [], []
-    for r, (u, v) in zip(rs_all, spans_all):
-        if v - u < 10.0 * mc.wos_epsilon:
-            pre_dropped.append((r, "preimage below 10x the absorption shell"))
-        else:
-            rs.append(r)
-            spans.append((u, v))
+    lo, hi = (v[0] for v in _ball_preimages(ev, [p_center], rs_all))
+    if np.any(np.diff(lo) > 0.0) or np.any(np.diff(hi) < 0.0):
+        raise ValueError("ball preimages failed to nest")
+    wide = hi - lo >= 10.0 * mc.wos_epsilon
+    pre_dropped = [(r, "preimage below 10x the absorption shell")
+                   for r, w in zip(rs_all, wide) if not w]
+    rs = [r for r, w in zip(rs_all, wide) if w]
+    spans = list(zip(lo[wide].tolist(), hi[wide].tolist()))
     if not rs:
         raise ValueError("every ball is below the sampler resolution")
     n = len(rs)

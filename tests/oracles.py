@@ -21,7 +21,9 @@ The principal value by excision and Richardson extrapolation
 (`pv_richardson_oracle`) checks the library's folded PV oracle. The
 walk-on-spheres over every segment of the trace's polyline
 (`polyline_segments`, `wos_polyline_counts`) is what the walk over the
-merged straight runs must match.
+merged straight runs must match. A surface ball's crossing is checked by
+bisection (`bisect_crossing`) on Phi increments of the rule one piece at a
+time (`phi_increment`).
 """
 
 import cmath
@@ -39,7 +41,7 @@ from nondini.conformal import (
 from nondini import halfplane, hilbert
 from nondini.halfplane import HarmonicEvaluator, _y_range, poisson_kernel
 from nondini.hilbert import DEEP, FAR, MID, KHtildeTable, _rise_scale
-from nondini.measure import _block_circles, _nearest_in_blocks, _phi_from
+from nondini.measure import _block_circles, _nearest_in_blocks
 from nondini.profile import MODE_C1, htilde_slope_vec, htilde_vec
 from nondini.quadrature import (
     QuadratureError,
@@ -148,12 +150,31 @@ def wos_polyline_counts(trace: BoundaryTrace, X: complex, arcs, mc) -> tuple:
                  for a, b in arcs)
 
 
-def bisect_crossing(ev, x_in: float, phi_in: complex, x_out: float,
-                    p_img: complex, r: float) -> float:
-    """x between x_in (inside the ball) and x_out with |Phi(x) - p_img| = r."""
+def phi_increment(ev, x1: float, x2: float) -> complex:
+    """Phi(x2) - Phi(x1) along the boundary by the rule one piece at a time
+    (split_plan and integrate_split_total); x2 - x1 for the identity
+    boundary (ev None)."""
+    if ev is None:
+        return complex(x2 - x1)
+    if x1 == x2:
+        return 0j
+    p = ev.profile
+    lo, hi = min(x1, x2), max(x1, x2)
+    exps = [p.c * ak / PI for ak in p.a]
+    val = integrate_split_total(_boundary_g(ev), split_plan(lo, hi, p.x, exps),
+                                locs=p.x)
+    return val if x2 > x1 else -val
+
+
+def bisect_crossing(ev, center: float, x_in: float, x_out: float,
+                    r: float) -> float:
+    """x between x_in (inside the ball) and x_out with |Phi(x) - Phi(center)|
+    = r, by bisection on this module's own Phi increments: one from the
+    center to x_in, then one from x_in to each midpoint."""
+    d_in = phi_increment(ev, center, x_in)
 
     def h(x: float) -> float:
-        return abs(_phi_from(ev, x_in, phi_in, x) - p_img) - r
+        return abs(d_in + phi_increment(ev, x_in, x)) - r
 
     a, b = x_in, x_out
     for _ in range(120):

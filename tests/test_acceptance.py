@@ -197,11 +197,10 @@ def test_criterion_06_growth(ev_c1):
 
 def test_criterion_07_singular_set(ev_c1):
     t0 = time.monotonic()
-    trace = trace_boundary(ev_c1, -2.0, 4.0, base_n=240)
     jumps = [2.0 ** -k for k in range(1, 9)]
     controls = [-1.0, 3.0]
     rs = [2.0 ** -k for k in range(8, 21)]
-    rep = singular_set_scan(trace, ev_c1, jumps + controls, rs,
+    rep = singular_set_scan(ev_c1, jumps + controls, rs,
                             threshold=1e-2, control_tol=1e-3)
     elapsed = time.monotonic() - t0
 
@@ -220,14 +219,19 @@ def test_criterion_07_singular_set(ev_c1):
     assert elapsed < 600.0
     assert monotone, "ratio curves must decrease at every jump image"
     assert ctrl_err <= 1e-3
+    p = ev_c1.profile
+    alpha_1 = p.c * p.a[0] * math.log(2.0) / PI
     assert below, (
         "ball ratios at the jump images end at %s for r = 2^-20, above the "
-        "1e-2 threshold. The ratio decays like (log(1/r))^(-2 c a_k / pi); "
-        "with c a_1 / pi ~ 0.125 it reaches 1e-2 only once log(1/r) "
-        "exceeds ~1e8, i.e. r ~ 10^(-4e7), so the vanishing-density clause "
-        "cannot be met at any floating-point radius, while the "
-        "monotone-decrease and control clauses above hold."
-        % (["%.3f" % f for f in finals],))
+        "1e-2 threshold. The density at x_k decays like (ln 1/r)^(-alpha_k) "
+        "with alpha_k = c a_k ln 2 / pi, %.4f at x_1, so from %.3f at "
+        "ln(1/r) = %.2f the ratio at x_1 extrapolates to 1e-2 only at "
+        "ln(1/r) ~ %.0e. Every positive double has ln(1/r) <= 745, so no "
+        "floating-point radius reaches that ball and the vanishing-density "
+        "clause cannot be met, while the monotone-decrease and control "
+        "clauses above hold."
+        % (["%.3f" % f for f in finals], alpha_1, finals[0], math.log(2.0 ** 20),
+           math.log(2.0 ** 20) * (finals[0] / 1e-2) ** (1.0 / alpha_1)))
 
 
 def test_criterion_08_secant_tangents(ev_c1):

@@ -56,6 +56,9 @@ REMOVED = (
     # that only tests called: kf_vec sums table().eval_vec, and the tests
     # call _nearest_in_blocks with _block_circles
     "k_htilde_vec", "_nearest_on_segments",
+    # the trace-based surface balls: a ball is solved from its centre, and
+    # the crossings of a scan advance in one batch
+    "_phi_on_boundary", "_phi_from", "_ball_preimage", "_newton_crossing",
 )
 
 
@@ -88,7 +91,7 @@ def test_removed_settings_stay_removed():
     )
     from nondini.halfplane import HarmonicEvaluator
     from nondini.hilbert import HilbertEvaluator, KHtildeTable, pv_quadrature_oracle
-    from nondini.measure import _nearest_in_blocks
+    from nondini.measure import _nearest_in_blocks, measure_ratio, singular_set_scan
     from nondini.modulus import SmoothedModulus, classify_dini
     from nondini.profile import TangentProfile, build_profile
     from nondini.quadrature import gauss_graded, split_integrals
@@ -141,6 +144,10 @@ def test_removed_settings_stay_removed():
     assert "_cache" not in fields(HarmonicEvaluator)
     # the PV oracle folds its window: no excision radii, no extrapolation
     assert params(pv_quadrature_oracle) == {"p", "x"}
+    # a surface ball needs its centre, not a trace or a precomputed image
+    assert list(inspect.signature(measure_ratio).parameters) == ["ev", "x_center", "r"]
+    assert list(inspect.signature(singular_set_scan).parameters) == [
+        "ev", "centers", "r_list", "threshold", "control_tol"]
 
 
 def test_import_loads_no_scipy():

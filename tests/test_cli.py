@@ -1,22 +1,27 @@
 """Tests for the command-line front end: config handling, commands, artifacts."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import pathlib
 
 import pytest
 
+from nondini import cli, conformal
 from nondini.cli import (
     DEFAULT_CONFIG,
     RunConfig,
     ThetaConfig,
     TraceConfig,
+    config_echo,
     main,
     parse_config,
 )
 from nondini.hilbert import KHtildeTable
 from nondini.measure import MCConfig
+from nondini.modulus import ModulusSpec
 
 
 def run_cli(*args) -> int:
@@ -36,30 +41,52 @@ def _leaves(doc, prefix=""):
 
 
 def test_config_round_trip_default():
-    doc = dataclasses.asdict(DEFAULT_CONFIG)
+    doc = config_echo(DEFAULT_CONFIG)
     assert parse_config(json.loads(json.dumps(doc))) == DEFAULT_CONFIG
 
 
 def test_config_round_trip_modified():
-    cfg = RunConfig(theta=ThetaConfig(kind="power", c=0.2, gamma=0.5),
+    cfg = RunConfig(theta=ThetaConfig(kind="power", gamma=0.5),
                     mode="lipschitz", c_prime_target=0.8,
                     amplitude_rule="uniform", K=5, beta=0.25,
                     trace=TraceConfig(x_lo=-2.0, x_hi=3.0, base_n=77),
                     mc=MCConfig(n_walkers=1234, seed=9, wos_epsilon=1e-5,
                                 max_steps=500, far_radius=100.0),
                     out_dir="elsewhere")
-    doc = dataclasses.asdict(cfg)
-    default = _leaves(dataclasses.asdict(DEFAULT_CONFIG))
-    assert len(default) == 17
-    assert all(v != default[k] for k, v in _leaves(doc).items())
+    doc = config_echo(cfg)
+    default = _leaves(config_echo(DEFAULT_CONFIG))
+    assert len(default) == 15
+    # every key differs from the default, theta.gamma by being echoed at all
+    leaves = _leaves(doc)
+    assert set(leaves) == set(default) | {"theta.gamma"}
+    assert all(v != default.get(k) for k, v in leaves.items())
     assert parse_config(json.loads(json.dumps(doc))) == cfg
+
+
+@pytest.mark.parametrize("kind, key", [("constant", "c"), ("power", "gamma")])
+def test_theta_keys_only_for_their_kind(kind, key):
+    # each kind reads at most one of c and gamma; the other is rejected, as
+    # are both for log_inverse, and the echo holds only the key read
+    other = "gamma" if key == "c" else "c"
+    with pytest.raises(ValueError, match=f"theta.{other} is read only by"):
+        parse_config({"theta": {"kind": kind, other: 0.5}})
+    for k in ("c", "gamma"):
+        with pytest.raises(ValueError, match=f"theta.{k} is read only by kind"):
+            parse_config({"theta": {"kind": "log_inverse", k: 0.5}})
+    cfg = parse_config({"theta": {"kind": kind, key: 0.5}})
+    assert config_echo(cfg)["theta"] == {"kind": kind, key: 0.5}
+    assert parse_config(json.loads(json.dumps(config_echo(cfg)))) == cfg
+    # an unset key takes the modulus default and is not echoed
+    unset = parse_config({"theta": {"kind": kind}})
+    assert config_echo(unset)["theta"] == {"kind": kind}
+    assert getattr(unset.theta.spec, key) == getattr(ModulusSpec(kind), key)
 
 
 def test_readme_config_is_the_default():
     # the README's full document is the echo of DEFAULT_CONFIG, key for key
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("```json\n")[1].split("```")[0]  # its one JSON block
-    assert json.loads(block) == dataclasses.asdict(DEFAULT_CONFIG)
+    assert json.loads(block) == config_echo(DEFAULT_CONFIG)
     assert parse_config(json.loads(block)) == DEFAULT_CONFIG
 
 
@@ -265,11 +292,32 @@ def test_density_command(tmp_path):
     assert slopes[-0.5] == pytest.approx(0.0, abs=1e-3)
 
 
-def test_density_r_beyond_coverage(tmp_path, capsys):
+def test_density_r_beyond_coverage(tmp_path):
+    # a ball is solved from its centre along the whole line, so radii whose
+    # preimages reach far past the trace window [-1, 1.2] need no trace
     out = tmp_path / "d"
     assert run_cli("--mode", "lipschitz", "--out", str(out), "density",
-                   "--centers", "0.5", "--r-min", "2.0", "--r-max", "16.0") == 1
-    assert "r too large" in capsys.readouterr().err
+                   "--centers", "0.5", "--r-min", "2.0", "--r-max", "16.0") == 0
+    rows = list(csv.DictReader(io.StringIO((out / "density.csv").read_text())))
+    assert [float(row["r"]) for row in rows] == [16.0, 8.0, 4.0, 2.0]
+    assert float(rows[0]["omega"]) > 2.2
+
+
+@pytest.mark.parametrize("mode", ["c1", "lipschitz"])
+@pytest.mark.parametrize("argv", [
+    ("density", "--centers", "0.5,0.25,0.7"),
+    ("verify", "--suite", "measure"),
+    ("verify", "--suite", "conformal"),
+])
+def test_balls_build_no_trace(tmp_path, monkeypatch, mode, argv):
+    # density and verify's ball checks solve every ball from its centre
+    def refuse(*args, **kw):
+        raise AssertionError("a boundary trace was built")
+
+    monkeypatch.setattr(conformal, "trace_boundary", refuse)
+    monkeypatch.setattr(cli, "trace_boundary", refuse)
+    monkeypatch.setattr(conformal.BoundaryTrace, "__post_init__", refuse)
+    assert run_cli("--mode", mode, "--out", str(tmp_path / "o"), *argv) == 0
 
 
 def test_density_needs_centers(tmp_path, capsys):

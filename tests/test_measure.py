@@ -110,8 +110,7 @@ def test_density_singular_sentinels(ev_lip):
 
 
 def test_flat_ratio_is_one():
-    tr = BoundaryTrace.flat(-8.0, 8.0, 161)
-    b = measure_ratio(tr, None, 0.3, 0.5)
+    b = measure_ratio(None, 0.3, 0.5)
     assert b.ratio == pytest.approx(1.0, abs=1e-12)
     assert b.x_lo == pytest.approx(-0.2, abs=1e-12)
     assert b.x_hi == pytest.approx(0.8, abs=1e-12)
@@ -120,16 +119,15 @@ def test_flat_ratio_is_one():
 @settings(max_examples=25, deadline=None)
 @given(center=st.floats(-2.0, 2.0), r=st.floats(0.1, 1.5))
 def test_flat_ratio_is_one_everywhere(center, r):
-    tr = BoundaryTrace.flat(-8.0, 8.0, 161)
-    b = measure_ratio(tr, None, center, r)
+    b = measure_ratio(None, center, r)
     assert b.ratio == pytest.approx(1.0, abs=1e-12)
     assert b.x_hi - b.x_lo == pytest.approx(2.0 * r, abs=1e-12)
 
 
-def test_wedge_vertex_ratio_closed_form(ev_wedge, trace_wedge):
+def test_wedge_vertex_ratio_closed_form(ev_wedge):
     q = WEDGE_Q
     for r in [2.0 ** -6, 2.0 ** -8, 2.0 ** -10]:
-        b = measure_ratio(trace_wedge, ev_wedge, 0.0, r)
+        b = measure_ratio(ev_wedge, 0.0, r)
         closed = q ** (1.0 / q) * r ** ((1.0 - q) / q)
         assert b.ratio == pytest.approx(closed, rel=1e-8)
         half = (q * r) ** (1.0 / q)
@@ -137,9 +135,9 @@ def test_wedge_vertex_ratio_closed_form(ev_wedge, trace_wedge):
         assert b.x_hi == pytest.approx(half, rel=1e-8)
 
 
-def test_wedge_vertex_scan_slope(ev_wedge, trace_wedge):
+def test_wedge_vertex_scan_slope(ev_wedge):
     rs = [2.0 ** -k for k in range(4, 15, 2)]
-    rep = singular_set_scan(trace_wedge, ev_wedge, [0.0], rs, threshold=1e-2)
+    rep = singular_set_scan(ev_wedge, [0.0], rs, threshold=1e-2)
     c = rep.centers[0]
     assert c.density_singular
     # pure power law r^{(1-q)/q}: the log-log fit recovers it exactly
@@ -147,40 +145,53 @@ def test_wedge_vertex_scan_slope(ev_wedge, trace_wedge):
     assert not c.flagged
 
 
-def test_ratio_converges_monotonically_at_regular_points(ev_lip, trace_lip):
+def test_ratio_converges_monotonically_at_regular_points(ev_lip):
     # quadratic convergence of omega/length to the pointwise density, and
     # Ahlfors regularity: the ball of radius r carries arc length close to 2r
     for xc in [-0.5, 1.1, 0.8]:
         d = density_at(ev_lip, xc).value
         errs = []
         for r in [2.0 ** -k for k in range(4, 13)]:
-            b = measure_ratio(trace_lip, ev_lip, xc, r)
+            b = measure_ratio(ev_lip, xc, r)
             errs.append(abs(b.ratio - d))
             assert 1.0 <= b.length / r <= 4.0
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
         assert errs[-1] < 1e-8
 
 
-def test_ball_preimage_errors():
-    tr = BoundaryTrace.flat(-2.0, 2.0, 41)
-    with pytest.raises(ValueError, match="right end"):
-        measure_ratio(tr, None, 1.5, 1.0)
-    with pytest.raises(ValueError, match="left end"):
-        measure_ratio(tr, None, -1.5, 1.0)
-    with pytest.raises(ValueError, match="outside the traced window"):
-        measure_ratio(tr, None, 3.0, 0.1)
+def test_ball_preimage_errors(ev_lip, monkeypatch):
     with pytest.raises(ValueError, match="radius must be positive"):
-        measure_ratio(tr, None, 0.0, -0.1)
+        measure_ratio(None, 0.0, -0.1)
+    # Phi is defined on the whole line, so a ball is out of reach only when
+    # its ladder has not climbed to r within _LADDER_DOUBLINGS doublings
+    increment = measure._increment
+    monkeypatch.setattr(measure, "_increment",
+                        lambda *args: 1e-9 * increment(*args))
+    monkeypatch.setattr(measure, "_LADDER_DOUBLINGS", 2)
+    with pytest.raises(ValueError, match=r"out of reach: \|Phi\(c \+ u\) - Phi\(c\)\| "
+                       r"= \d\.\d{3}e-\d\d at u = -2\.500e-01 after 2 doublings"):
+        measure_ratio(ev_lip, 0.7, 2.0 ** -5)
 
 
-def test_ball_preimage_disconnected():
-    # the last sample swings back within r of the center image
-    tr = BoundaryTrace(x=(-2.0, -1.0, 0.0, 1.0, 2.0, 3.0),
-                       phi=(-2 + 0j, -1 + 0j, 0j, 1 + 0j, 2 + 0j, 0.5 + 0j),
-                       abs_dphi=(1.0,) * 6, is_singular=(False,) * 6,
-                       c_prime=0.0)
-    with pytest.raises(ValueError, match="disconnected"):
-        measure_ratio(tr, None, 0.0, 0.6)
+@settings(max_examples=20, deadline=None)
+@given(jumps=st.lists(st.integers(-16, 16), min_size=1, max_size=6, unique=True),
+       amps=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+       c_prime=st.floats(0.05, 1.55), center=st.floats(-1.5, 1.5),
+       offsets=st.lists(st.integers(0, 80), min_size=2, max_size=12, unique=True))
+def test_distance_from_center_increases_on_both_sides(jumps, amps, c_prime,
+                                                       center, offsets):
+    # f in [0, c'] with c' < pi/2 puts D(u) = Phi(c + u) - Phi(c) and G(c + u)
+    # in one cone of half-angle below pi/2, so |D| increases in |u| on either
+    # side: every surface ball's preimage is one interval. Jumps sit on a
+    # 1/16 grid and the offsets 2^(-k/4) run from 1 down to 1e-6.
+    ev = HilbertEvaluator(build_profile(MODE_LIPSCHITZ, jumps=[j / 16.0 for j in jumps],
+                                        amps=amps[:len(jumps)],
+                                        c_prime_target=c_prime))
+    u = np.r_[0.0, 2.0 ** (-np.array(sorted(offsets, reverse=True)) / 4.0)]
+    for side in (-1.0, 1.0):
+        xs = center + side * u
+        d = np.cumsum(conformal._boundary_integral(ev, xs[:-1], xs[1:]))
+        assert np.all(np.diff(np.abs(d)) > 0.0)
 
 
 # -- crossing solve against the bisection oracle ----------------------------------
@@ -189,84 +200,77 @@ JUMP_RADII = [2.0 ** -k for k in range(6, 15)]
 
 
 def _recorded_crossings(monkeypatch, solve):
-    """Run solve() with every crossing solve's arguments and result recorded."""
-    calls = []
-    newton = measure._newton_crossing
+    """Run solve() with every crossing recorded as (ev, center, x_in, x_out,
+    r, x): the bracket each Newton solve started from, and its result."""
+    rows = []
+    sides = []
+    preimages, newton = measure._ball_preimages, measure._newton_crossings
 
-    def recording(*args):
-        x = newton(*args)
-        calls.append((args, x))
+    def recording_preimages(ev, centres, rs):
+        sides[:] = [c for c in centres for _ in (-1, 1)]
+        return preimages(ev, centres, rs)
+
+    def recording_newton(ev, a, d_a, b, r):
+        x = newton(ev, a, d_a, b, r)
+        per_side = len(a) // len(sides)
+        rows.extend((ev, sides[k // per_side], *v)
+                    for k, v in enumerate(zip(a, b, r, x)))
         return x
 
-    monkeypatch.setattr(measure, "_newton_crossing", recording)
+    monkeypatch.setattr(measure, "_ball_preimages", recording_preimages)
+    monkeypatch.setattr(measure, "_newton_crossings", recording_newton)
     solve()
-    return calls
+    return rows
 
 
-def _assert_match_oracle(calls):
-    assert calls
-    for args, x in calls:
-        assert abs(x - bisect_crossing(*args)) <= 2e-15 * max(1.0, abs(x))
+def _assert_match_oracle(rows):
+    assert rows
+    for ev, center, x_in, x_out, r, x in rows:
+        ref = bisect_crossing(ev, center, x_in, x_out, r)
+        assert abs(x - ref) <= 2e-15 * max(1.0, abs(x))
 
 
 @pytest.mark.parametrize("case", ["c1", "lipschitz", "wedge", "identity"])
 def test_crossings_match_bisection_oracle(case, request, monkeypatch):
     if case == "identity":
-        trace, ev = BoundaryTrace.flat(-8.0, 8.0, 33), None
+        ev = None
         balls = [(x, r) for x in (0.3, 0.0, 1.7) for r in (0.5, 1.0 / 3.0, 0.1)]
     elif case == "wedge":
-        trace = request.getfixturevalue("trace_wedge")
         ev = request.getfixturevalue("ev_wedge")
         balls = [(0.0, r) for r in JUMP_RADII]
     else:
-        tag = "c1" if case == "c1" else "lip"
-        trace = request.getfixturevalue("trace_" + tag)
-        ev = request.getfixturevalue("ev_" + tag)
+        ev = request.getfixturevalue("ev_c1" if case == "c1" else "ev_lip")
         balls = [(x, r) for x in (0.5, 0.25, 0.75) for r in JUMP_RADII]
-    calls = _recorded_crossings(monkeypatch, lambda: [
-        measure_ratio(trace, ev, x, r) for x, r in balls])
-    assert len(calls) == 2 * len(balls)
-    _assert_match_oracle(calls)
+    rows = _recorded_crossings(monkeypatch, lambda: [
+        measure_ratio(ev, x, r) for x, r in balls])
+    assert len(rows) == 2 * len(balls)
+    _assert_match_oracle(rows)
 
 
 @pytest.mark.parametrize("mode", ["c1", "lip"])
 def test_ratio_boundary_integral_count(mode, request, monkeypatch):
-    # every Phi increment (_boundary_integral) and the arc length is one
-    # split_integrals call; the scan computes each center's image once, which
-    # takes one integral at 0.7 and none at the trace samples 0.5 and 0.25
-    trace = request.getfixturevalue("trace_" + mode)
+    # a whole default scan: every Newton round evaluates G once (nothing else
+    # in a scan does) and makes one boundary-integral call; the ladders, the
+    # centre images and the arc lengths take one call each
     ev = request.getfixturevalue("ev_" + mode)
-    quads = [0]
-    per_ratio = []
-    split = conformal.split_integrals
-    ratio = measure.measure_ratio
+    calls = {"split": 0, "g": 0}
+    split, g = conformal.split_integrals, measure._boundary_g
 
-    def counted_split(*args, **kw):
-        quads[0] += 1
-        return split(*args, **kw)
+    def counted(key, fn):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
 
-    def counted_ratio(*args):
-        before = quads[0]
-        out = ratio(*args)
-        per_ratio.append(quads[0] - before)
-        return out
-
-    monkeypatch.setattr(conformal, "split_integrals", counted_split)
-    monkeypatch.setattr(measure, "measure_ratio", counted_ratio)
-    images = []
-    image = measure._phi_on_boundary
-    monkeypatch.setattr(measure, "_phi_on_boundary",
-                        lambda *args: images.append(args) or image(*args))
-    centers = [0.5, 0.25, 0.7]
-    measure.singular_set_scan(trace, ev, centers, JUMP_RADII, control_tol=1.0)
-    assert len(per_ratio) == len(centers) * len(JUMP_RADII)
-    assert max(per_ratio) <= 12
-    assert len(images) == len(centers)
-    assert quads[0] - sum(per_ratio) == 1
+    monkeypatch.setattr(conformal, "split_integrals", counted("split", split))
+    monkeypatch.setattr(measure, "_boundary_g", counted("g", g))
+    measure.singular_set_scan(ev, [0.5, 0.25, 0.7], JUMP_RADII, control_tol=1.0)
+    rounds = calls["g"]
+    assert 1 <= rounds <= 6
+    assert calls["split"] <= rounds + 3
 
 
-def test_wrong_derivative_still_reaches_oracle(ev_lip, trace_lip, ev_c1,
-                                               trace_c1, monkeypatch):
+def test_wrong_derivative_still_reaches_oracle(ev_lip, ev_c1, monkeypatch):
     # G scaled by 10 makes every Newton step 10x too short; the bracket,
     # with its midpoint fallback, still closes on the crossing
     def scaled_g(ev):
@@ -274,29 +278,28 @@ def test_wrong_derivative_still_reaches_oracle(ev_lip, trace_lip, ev_c1,
         return lambda ys: 10.0 * g(ys)
 
     monkeypatch.setattr(measure, "_boundary_g", scaled_g)
-    calls = _recorded_crossings(monkeypatch, lambda: [
-        measure_ratio(tr, ev, x, r)
-        for tr, ev in ((trace_lip, ev_lip), (trace_c1, ev_c1))
+    rows = _recorded_crossings(monkeypatch, lambda: [
+        measure_ratio(ev, x, r) for ev in (ev_lip, ev_c1)
         for x in (0.5, 0.75) for r in (2.0 ** -6, 2.0 ** -14)])
-    _assert_match_oracle(calls)
+    _assert_match_oracle(rows)
 
 
-def test_crossing_step_cap_raises(ev_lip, trace_lip, monkeypatch):
+def test_crossing_step_cap_raises(ev_lip, monkeypatch):
     monkeypatch.setattr(measure, "_CROSSING_STEPS", 1)
     with pytest.raises(QuadratureError,
                        match=r"after 1 Newton steps: bracket width \d\.\d{3}e-\d\d"):
-        measure_ratio(trace_lip, ev_lip, 0.5, 2.0 ** -8)
+        measure_ratio(ev_lip, 0.5, 2.0 ** -8)
 
 
 # -- singular set scan -----------------------------------------------------------
 
 
-def test_lipschitz_jump_slopes(ev_lip, trace_lip):
+def test_lipschitz_jump_slopes(ev_lip):
     # at jump x_k the map behaves like |x - x_k|^{p_k} with p_k = c a_k / pi,
     # so omega/length ~ r^{p_k/(1-p_k)}
     p = ev_lip.profile
     rs = [2.0 ** -k for k in range(8, 21)]
-    rep = singular_set_scan(trace_lip, ev_lip, [p.x[k] for k in range(4)], rs,
+    rep = singular_set_scan(ev_lip, [p.x[k] for k in range(4)], rs,
                             threshold=1e-2)
     for k, c in enumerate(rep.centers):
         pk = (p.c_prime / math.pi) * 2.0 ** -(k + 1)
@@ -305,11 +308,11 @@ def test_lipschitz_jump_slopes(ev_lip, trace_lip):
         assert not c.flagged  # decay is too slow to cross 1e-2 by r = 2^-20
 
 
-def test_scan_flags_dominant_jump(ev_lip, trace_lip):
+def test_scan_flags_dominant_jump(ev_lip):
     p = ev_lip.profile
     centers = [p.x[k] for k in range(8)] + [-0.5, 1.1]
     rs = [2.0 ** -k for k in range(8, 21)]
-    rep = singular_set_scan(trace_lip, ev_lip, centers, rs, threshold=0.2)
+    rep = singular_set_scan(ev_lip, centers, rs, threshold=0.2)
     assert rep.flagged_set() == (0.5,)
     by_x = {c.x: c for c in rep.centers}
     for x in (-0.5, 1.1):
@@ -319,31 +322,30 @@ def test_scan_flags_dominant_jump(ev_lip, trace_lip):
         assert abs(ctl.fitted_slope) < 1e-3
 
 
-def test_scan_control_violation_raises(ev_lip, trace_lip):
+def test_scan_control_violation_raises(ev_lip):
     with pytest.raises(ValueError, match="control at x=-0.5"):
-        singular_set_scan(trace_lip, ev_lip, [-0.5], [2.0 ** -4, 2.0 ** -5],
+        singular_set_scan(ev_lip, [-0.5], [2.0 ** -4, 2.0 ** -5],
                           control_tol=1e-9)
 
 
-def test_scan_needs_two_distinct_radii(ev_lip, trace_lip):
+def test_scan_needs_two_distinct_radii(ev_lip):
     with pytest.raises(ValueError, match="two distinct radii"):
-        singular_set_scan(trace_lip, ev_lip, [0.5], [0.25])
+        singular_set_scan(ev_lip, [0.5], [0.25])
     with pytest.raises(ValueError, match="two distinct radii"):
-        singular_set_scan(trace_lip, ev_lip, [0.5], [0.25, 0.25])
+        singular_set_scan(ev_lip, [0.5], [0.25, 0.25])
 
 
 def test_scan_identity_boundary():
-    tr = BoundaryTrace.flat(-4.0, 4.0, 161)
-    rep = singular_set_scan(tr, None, [0.0, 1.0], [0.5, 0.25, 0.125])
+    rep = singular_set_scan(None, [0.0, 1.0], [0.5, 0.25, 0.125])
     assert rep.flagged_set() == ()
     for c in rep.centers:
         assert c.ratios == (1.0, 1.0, 1.0)
         assert c.density == 1.0
 
 
-def test_report_csv_and_json(ev_lip, trace_lip):
+def test_report_csv_and_json(ev_lip):
     rs = [2.0 ** -8, 2.0 ** -9, 2.0 ** -10]
-    rep = singular_set_scan(trace_lip, ev_lip, [0.5, -0.5], rs, threshold=0.2,
+    rep = singular_set_scan(ev_lip, [0.5, -0.5], rs, threshold=0.2,
                             control_tol=1e-2)
     buf = io.StringIO()
     rep.to_csv(buf)
