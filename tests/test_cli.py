@@ -1,7 +1,6 @@
 """Tests for the command-line front end: config handling, commands, artifacts."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
